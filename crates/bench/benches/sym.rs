@@ -99,6 +99,10 @@ fn bench_representative_width(c: &mut Criterion) {
     // structure and answering a depth-k query. Width 2 pays |S|× more
     // states than width 1 — this group pins that factor so regressions
     // in the locals-vector hot path are visible.
+    //
+    // `check/*` is *cold*: each sample opens a fresh session, so it times
+    // the structure's build plus the check. `check-warm/*` builds once
+    // outside the samples and times the check alone.
     let mut group = c.benchmark_group("sym/representative-width");
     group.sample_size(10);
     let engine = SymEngine::new(mutex_template());
@@ -115,6 +119,11 @@ fn bench_representative_width(c: &mut Criterion) {
             let mut session = engine.session(n);
             b.iter(|| assert!(session.check(f).unwrap()))
         });
+        let mut warm = engine.session(n);
+        assert!(warm.check(f).unwrap());
+        group.bench_with_input(BenchmarkId::new("check-warm", label), &f, |b, f| {
+            b.iter(|| assert!(warm.check(f).unwrap()))
+        });
     }
     group.finish();
 }
@@ -125,6 +134,11 @@ fn bench_fair_check(c: &mut Criterion) {
     // Uses the barrier's fair variant (two groups over broadcasts) on a
     // recurrence property that *fails* unfair, so the fairness machinery
     // is genuinely load-bearing here, not a pass-through.
+    //
+    // `counting/*` and `indexed/*` are *cold*: every `engine.check`
+    // builds the structure and compiles fairness before checking.
+    // `check-warm/*` builds once outside the samples and times the fair
+    // check alone.
     let mut group = c.benchmark_group("sym/fair-check");
     group.sample_size(10);
     let engine = SymEngine::new(
@@ -141,6 +155,12 @@ fn bench_fair_check(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, &n| {
             b.iter(|| assert!(engine.check(n, &indexed).unwrap()))
         });
+        let mut warm = engine.session(n);
+        for (label, f) in [("counting", &counting), ("indexed", &indexed)] {
+            assert!(warm.check(f).unwrap());
+            let id = BenchmarkId::new(format!("check-warm/{label}"), n);
+            group.bench_with_input(id, f, |b, f| b.iter(|| assert!(warm.check(f).unwrap())));
+        }
     }
     group.finish();
 }

@@ -171,6 +171,27 @@ impl BitSet {
         }
     }
 
+    /// Builds a set of capacity `nbits` from its raw words: bit `b` of
+    /// word `w` is element `64 * w + b`. Words past those a set of this
+    /// capacity needs must be zero and are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some set bit is `>= nbits`.
+    pub fn from_words(nbits: usize, words: &[u64]) -> Self {
+        let mut s = BitSet::new(nbits);
+        let keep = s.words.len().min(words.len());
+        s.words[..keep].copy_from_slice(&words[..keep]);
+        let extra = s.words.len() * WORD_BITS - nbits;
+        let last = s.words.last().copied().unwrap_or(0);
+        assert!(
+            words[keep..].iter().all(|&w| w == 0)
+                && (extra == 0 || last >> (WORD_BITS - extra) == 0),
+            "word set holds bits beyond capacity {nbits}"
+        );
+        s
+    }
+
     /// Builds a set of the given capacity from an iterator of elements.
     pub fn from_iter_with_capacity(nbits: usize, it: impl IntoIterator<Item = usize>) -> Self {
         let mut s = BitSet::new(nbits);
@@ -295,5 +316,25 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
         assert!(!s.contains(0));
+    }
+
+    #[test]
+    fn from_words_round_trips() {
+        let a = BitSet::from_iter_with_capacity(70, [0, 63, 64, 69]);
+        assert_eq!(BitSet::from_words(70, &[1 | 1 << 63, 1 | 1 << 5]), a);
+        // Surplus zero words are dropped; capacity 0 takes none.
+        assert_eq!(
+            BitSet::from_words(3, &[0b101, 0])
+                .iter()
+                .collect::<Vec<_>>(),
+            [0, 2]
+        );
+        assert_eq!(BitSet::from_words(0, &[0]), BitSet::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond capacity")]
+    fn from_words_rejects_bits_past_capacity() {
+        BitSet::from_words(3, &[0b1000]);
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::atom::{Atom, AtomTable};
+use crate::atom::{Atom, AtomId, AtomTable};
 use crate::bits::BitSet;
 use crate::structure::{Kripke, StateId, StructureError};
 
@@ -126,24 +126,20 @@ impl KripkeBuilder {
     ///
     /// Returns a [`StructureError`] if the structure is empty, `init` is
     /// unknown, or some state has no outgoing transition.
-    pub fn build(mut self, init: StateId) -> Result<Kripke, StructureError> {
-        let n = self.labels.len();
-        let mut atoms = std::mem::take(&mut self.atoms);
-        // Intern all atoms first so ids are stable.
-        let mut label_sets = Vec::with_capacity(n);
-        let interned: Vec<Vec<crate::atom::AtomId>> = self
+    pub fn build(self, init: StateId) -> Result<Kripke, StructureError> {
+        let mut atoms = self.atoms;
+        // Intern all atoms first so ids are stable. The labels are
+        // consumed: only an atom the table has not seen yet is stored.
+        let interned: Vec<Vec<AtomId>> = self
             .labels
-            .iter()
-            .map(|lab| lab.iter().map(|a| atoms.intern(a.clone())).collect())
+            .into_iter()
+            .map(|lab| lab.into_iter().map(|a| atoms.intern(a)).collect())
             .collect();
         let nbits = atoms.len();
-        for ids in interned {
-            let mut set = BitSet::new(nbits);
-            for id in ids {
-                set.insert(id.idx());
-            }
-            label_sets.push(set);
-        }
+        let label_sets = interned
+            .into_iter()
+            .map(|ids| BitSet::from_iter_with_capacity(nbits, ids.into_iter().map(AtomId::idx)))
+            .collect();
         Kripke::from_parts(atoms, label_sets, &self.adjacency, init, self.names)
     }
 }

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use crate::atom::{Atom, AtomId, AtomTable, Index, CANONICAL_INDEX};
 use crate::bits::BitSet;
-use crate::structure::{Kripke, StateId, StructureError};
+use crate::structure::{Kripke, StructureError};
 
 /// A Kripke structure together with its index set `I`.
 ///
@@ -124,18 +124,7 @@ impl IndexedKripke {
                 set
             })
             .collect();
-        let adjacency: Vec<Vec<StateId>> = self
-            .kripke
-            .states()
-            .map(|s| self.kripke.successors(s).to_vec())
-            .collect();
-        let names = self
-            .kripke
-            .states()
-            .map(|s| self.kripke.state_name(s).to_string())
-            .collect();
-        Kripke::from_parts(atoms, labels, &adjacency, self.kripke.initial(), names)
-            .expect("reduction preserves structural invariants")
+        self.kripke.relabeled(atoms, labels)
     }
 
     /// Adds `Θ P` ("exactly one") atoms for each proposition name in
@@ -189,19 +178,8 @@ impl IndexedKripke {
                 set
             })
             .collect();
-        let adjacency: Vec<Vec<StateId>> = self
-            .kripke
-            .states()
-            .map(|s| self.kripke.successors(s).to_vec())
-            .collect();
-        let names = self
-            .kripke
-            .states()
-            .map(|s| self.kripke.state_name(s).to_string())
-            .collect();
-        let k = Kripke::from_parts(atoms, labels, &adjacency, self.kripke.initial(), names)?;
         Ok(IndexedKripke {
-            kripke: k,
+            kripke: self.kripke.relabeled(atoms, labels),
             indices: self.indices.clone(),
         })
     }
@@ -211,6 +189,7 @@ impl IndexedKripke {
 mod tests {
     use super::*;
     use crate::builder::KripkeBuilder;
+    use crate::structure::StateId;
 
     fn sample() -> IndexedKripke {
         let mut b = KripkeBuilder::new();

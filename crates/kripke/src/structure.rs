@@ -35,6 +35,8 @@ pub enum StructureError {
     DanglingEdge(StateId, StateId),
     /// The designated initial state does not exist.
     BadInitial(StateId),
+    /// CSR parts handed to [`Kripke::from_csr`] do not fit together.
+    MalformedCsr(&'static str),
 }
 
 impl fmt::Display for StructureError {
@@ -48,6 +50,7 @@ impl fmt::Display for StructureError {
                 write!(f, "edge {a} -> {b} references a missing state")
             }
             StructureError::BadInitial(s) => write!(f, "initial state {s} does not exist"),
+            StructureError::MalformedCsr(why) => write!(f, "malformed CSR: {why}"),
         }
     }
 }
@@ -101,30 +104,103 @@ impl Kripke {
         init: StateId,
         names: Vec<String>,
     ) -> Result<Self, StructureError> {
+        let mut succ_heads = Vec::with_capacity(adjacency.len() + 1);
+        succ_heads.push(0);
+        let mut succ_edges = Vec::new();
+        for outs in adjacency {
+            succ_edges.extend_from_slice(outs);
+            succ_heads.push(succ_edges.len() as u32);
+        }
+        Kripke::from_csr(atoms, labels, succ_heads, succ_edges, init, names)
+    }
+
+    /// Freezes a structure whose successor lists are already in CSR form:
+    /// the successors of state `s` are
+    /// `succ_edges[succ_heads[s]..succ_heads[s + 1]]`, in order. Labels
+    /// are bitsets over `atoms`' ids and `names[s]` names state `s`.
+    ///
+    /// Producers that discover states densely in order (a BFS numbering
+    /// states as they are found) emit this form directly and skip a
+    /// per-state adjacency list.
+    ///
+    /// # Errors
+    ///
+    /// [`StructureError::Empty`], [`StructureError::BadInitial`],
+    /// [`StructureError::NotTotal`] and [`StructureError::DanglingEdge`]
+    /// as for [`KripkeBuilder::build`](crate::KripkeBuilder::build);
+    /// [`StructureError::MalformedCsr`] when the offsets, names or label
+    /// capacities do not fit the state count.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use icstar_kripke::bits::BitSet;
+    /// use icstar_kripke::{Atom, AtomTable, Kripke, StateId};
+    ///
+    /// let mut atoms = AtomTable::new();
+    /// let p = atoms.intern(Atom::plain("p"));
+    /// let labels = vec![BitSet::from_iter_with_capacity(1, [p.idx()]), BitSet::new(1)];
+    /// // s0 -> s1, s1 -> {s0, s1}.
+    /// let m = Kripke::from_csr(
+    ///     atoms,
+    ///     labels,
+    ///     vec![0, 1, 3],
+    ///     vec![StateId(1), StateId(0), StateId(1)],
+    ///     StateId(0),
+    ///     vec!["a".into(), "b".into()],
+    /// )?;
+    /// assert_eq!(m.successors(StateId(1)), &[StateId(0), StateId(1)]);
+    /// assert_eq!(m.predecessors(StateId(1)), &[StateId(0), StateId(1)]);
+    /// assert!(m.satisfies_atom(StateId(0), &Atom::plain("p")));
+    /// # Ok::<(), icstar_kripke::StructureError>(())
+    /// ```
+    pub fn from_csr(
+        atoms: AtomTable,
+        labels: Vec<BitSet>,
+        succ_heads: Vec<u32>,
+        succ_edges: Vec<StateId>,
+        init: StateId,
+        names: Vec<String>,
+    ) -> Result<Self, StructureError> {
         let n = labels.len();
         if n == 0 {
             return Err(StructureError::Empty);
         }
+        if succ_heads.len() != n + 1
+            || succ_heads[0] != 0
+            || succ_heads[n] as usize != succ_edges.len()
+        {
+            return Err(StructureError::MalformedCsr(
+                "offsets must run from 0 to the edge count, one per state plus one",
+            ));
+        }
+        if names.len() != n {
+            return Err(StructureError::MalformedCsr("one name per state"));
+        }
+        if labels.iter().any(|l| l.capacity() != atoms.len()) {
+            return Err(StructureError::MalformedCsr(
+                "every label spans the atom table",
+            ));
+        }
         if init.idx() >= n {
             return Err(StructureError::BadInitial(init));
         }
-        // Compress to CSR, checking totality and edge sanity.
-        let mut succ_heads = Vec::with_capacity(n + 1);
-        let mut succ_edges = Vec::new();
+        // Check totality and edge sanity, counting predecessors.
         let mut pred_count = vec![0u32; n];
-        succ_heads.push(0);
-        for (s, outs) in adjacency.iter().enumerate() {
-            if outs.is_empty() {
-                return Err(StructureError::NotTotal(StateId(s as u32)));
+        for (s, w) in succ_heads.windows(2).enumerate() {
+            if w[1] <= w[0] {
+                return Err(if w[1] < w[0] {
+                    StructureError::MalformedCsr("offsets must not decrease")
+                } else {
+                    StructureError::NotTotal(StateId(s as u32))
+                });
             }
-            for &t in outs {
+            for &t in &succ_edges[w[0] as usize..w[1] as usize] {
                 if t.idx() >= n {
                     return Err(StructureError::DanglingEdge(StateId(s as u32), t));
                 }
                 pred_count[t.idx()] += 1;
-                succ_edges.push(t);
             }
-            succ_heads.push(succ_edges.len() as u32);
         }
         // Build predecessor CSR.
         let mut pred_heads = vec![0u32; n + 1];
@@ -133,8 +209,8 @@ impl Kripke {
         }
         let mut cursor = pred_heads[..n].to_vec();
         let mut pred_edges = vec![StateId(0); succ_edges.len()];
-        for (s, outs) in adjacency.iter().enumerate() {
-            for &t in outs {
+        for (s, w) in succ_heads.windows(2).enumerate() {
+            for &t in &succ_edges[w[0] as usize..w[1] as usize] {
                 pred_edges[cursor[t.idx()] as usize] = StateId(s as u32);
                 cursor[t.idx()] += 1;
             }
@@ -149,6 +225,23 @@ impl Kripke {
             init,
             names,
         })
+    }
+
+    /// The same graph, names and initial state under new labels over
+    /// `atoms` — one bitset per state, each spanning `atoms`.
+    pub(crate) fn relabeled(&self, atoms: AtomTable, labels: Vec<BitSet>) -> Kripke {
+        assert_eq!(labels.len(), self.num_states(), "one label per state");
+        debug_assert!(labels.iter().all(|l| l.capacity() == atoms.len()));
+        Kripke {
+            atoms,
+            labels,
+            succ_heads: self.succ_heads.clone(),
+            succ_edges: self.succ_edges.clone(),
+            pred_heads: self.pred_heads.clone(),
+            pred_edges: self.pred_edges.clone(),
+            init: self.init,
+            names: self.names.clone(),
+        }
     }
 
     /// Number of states `|S|`.
@@ -419,6 +512,74 @@ mod tests {
         assert!(r.contains(0));
         assert!(!r.contains(1));
         assert!(!r.contains(2));
+    }
+
+    #[test]
+    fn from_csr_matches_the_builder() {
+        let m = two_state();
+        let k = Kripke::from_csr(
+            m.atoms().clone(),
+            m.states().map(|s| m.label(s).clone()).collect(),
+            vec![0, 1, 2],
+            vec![StateId(1), StateId(0)],
+            StateId(0),
+            vec!["a".into(), "c".into()],
+        )
+        .unwrap();
+        for s in m.states() {
+            assert_eq!(k.successors(s), m.successors(s));
+            assert_eq!(k.predecessors(s), m.predecessors(s));
+            assert_eq!(k.label_atoms(s), m.label_atoms(s));
+            assert_eq!(k.state_name(s), m.state_name(s));
+        }
+    }
+
+    #[test]
+    fn from_csr_validates_its_parts() {
+        let csr = |heads: Vec<u32>, edges: Vec<u32>, init: u32, names: usize| {
+            Kripke::from_csr(
+                AtomTable::new(),
+                vec![BitSet::new(0); 2],
+                heads,
+                edges.into_iter().map(StateId).collect(),
+                StateId(init),
+                (0..names).map(|i| format!("s{i}")).collect(),
+            )
+        };
+        assert!(csr(vec![0, 1, 2], vec![1, 0], 0, 2).is_ok());
+        assert_eq!(
+            csr(vec![0, 1, 1], vec![1], 0, 2).unwrap_err(),
+            StructureError::NotTotal(StateId(1))
+        );
+        assert_eq!(
+            csr(vec![0, 1, 2], vec![1, 5], 0, 2).unwrap_err(),
+            StructureError::DanglingEdge(StateId(1), StateId(5))
+        );
+        assert_eq!(
+            csr(vec![0, 1, 2], vec![1, 0], 2, 2).unwrap_err(),
+            StructureError::BadInitial(StateId(2))
+        );
+        for (heads, edges, names) in [
+            (vec![0, 1], vec![1], 2),          // too few offsets
+            (vec![1, 1, 2], vec![1, 0], 2),    // does not start at 0
+            (vec![0, 1, 3], vec![1, 0], 2),    // overruns the edges
+            (vec![0, 2, 1], vec![1, 0, 0], 2), // decreasing
+            (vec![0, 1, 2], vec![1, 0], 1),    // a name short
+        ] {
+            assert!(matches!(
+                csr(heads, edges, 0, names),
+                Err(StructureError::MalformedCsr(_))
+            ));
+        }
+        let wide = Kripke::from_csr(
+            AtomTable::new(),
+            vec![BitSet::new(3)],
+            vec![0, 1],
+            vec![StateId(0)],
+            StateId(0),
+            vec!["x".into()],
+        );
+        assert!(matches!(wide, Err(StructureError::MalformedCsr(_))));
     }
 
     #[test]

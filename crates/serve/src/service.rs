@@ -7,10 +7,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use icstar_kripke::Kripke;
 use icstar_logic::{has_index_quantifier, StateFormula};
 use icstar_sym::{required_rep_width, CounterGraph, CountingSpec, SymEngine};
 use icstar_telemetry::{
-    FlightRecorder, Registry, SpanContext, SpanEvent, TelemetrySnapshot, TraceId,
+    FlightRecorder, Registry, SpanContext, SpanEvent, TelemetrySnapshot, TraceId, TraceScope,
 };
 
 use crate::cache::GraphCache;
@@ -608,7 +609,11 @@ fn process(
                             build.attr("kind", "representative");
                             build.attr("n", n.to_string());
                             build.attr("width", width.to_string());
-                            engine.representative_graph(n, width)
+                            let rep = engine.representative_graph(n, width);
+                            if let Ok(rep) = &rep {
+                                size_attrs(&mut build, rep.kripke.kripke());
+                            }
+                            rep
                         })
                 });
                 lookup.attr("outcome", if built { "miss" } else { "hit" });
@@ -787,7 +792,7 @@ fn materialize(
     build.set_tid(worker);
     build.attr("kind", "counter");
     build.attr("n", n.to_string());
-    if n >= inner.config.sharded_threshold {
+    let graph = if n >= inner.config.sharded_threshold {
         inner.stats.sharded_explorations.inc();
         build.attr("mode", "sharded");
         engine.counter_graph_sharded_traced(
@@ -798,7 +803,15 @@ fn materialize(
     } else {
         build.attr("mode", "sequential");
         engine.counter_graph(n)
-    }
+    };
+    size_attrs(&mut build, &graph.kripke);
+    graph
+}
+
+/// Records a built structure's size on its `build` span.
+fn size_attrs(build: &mut TraceScope, kripke: &Kripke) {
+    build.attr("states", kripke.num_states().to_string());
+    build.attr("edges", kripke.num_transitions().to_string());
 }
 
 #[cfg(test)]
@@ -1119,12 +1132,43 @@ mod tests {
         let service = VerifyService::start(config);
         let job = VerifyJob::new(mutex_template())
             .at_size(5)
-            .formula("m", parse_state("AG !crit_ge2").unwrap());
+            .formula("m", parse_state("AG !crit_ge2").unwrap())
+            .formula(
+                "live",
+                parse_state("forall i. AG(try[i] -> EF crit[i])").unwrap(),
+            );
         let h = service.submit(job.clone());
         let trace = h.trace;
         h.wait().unwrap();
 
         let spans = recorder.spans_for(trace);
+        // Each build span carries the size of the structure it built.
+        let engine = icstar_sym::SymEngine::new(mutex_template());
+        let rep = engine.representative_structure(5, 1).unwrap();
+        for (kind, k) in [
+            ("counter", &engine.counter_structure(5)),
+            ("representative", rep.kripke()),
+        ] {
+            let build = spans
+                .iter()
+                .find(|s| {
+                    s.name == "build" && s.attrs.iter().any(|(a, v)| a == "kind" && v == kind)
+                })
+                .unwrap_or_else(|| panic!("no {kind} build span in {spans:?}"));
+            let attr = |name: &str| {
+                build
+                    .attrs
+                    .iter()
+                    .find(|(a, _)| a == name)
+                    .map(|(_, v)| v.clone())
+            };
+            assert_eq!(attr("states"), Some(k.num_states().to_string()), "{kind}");
+            assert_eq!(
+                attr("edges"),
+                Some(k.num_transitions().to_string()),
+                "{kind}"
+            );
+        }
         let root = spans.iter().find(|s| s.name == "job").expect("job root");
         assert!(root.parent.is_none());
         assert!(root.attrs.iter().any(|(k, v)| k == "outcome" && v == "ok"));

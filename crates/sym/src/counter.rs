@@ -12,6 +12,7 @@
 //! counters are the hash keys of the on-the-fly exploration, keeping the
 //! frontier compact at `n` in the tens of thousands.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 /// The occupancy vector of one abstract global state: `counts[q]` copies
@@ -142,6 +143,22 @@ impl fmt::Debug for CounterState {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PackedCounter(Box<[u64]>);
 
+impl PackedCounter {
+    /// A key holding exactly `words` — e.g. a buffer filled by
+    /// [`CounterPacking::pack_into`], possibly extended with more words.
+    pub(crate) fn from_words(words: &[u64]) -> Self {
+        PackedCounter(words.into())
+    }
+}
+
+/// Keys hash and compare as their word slices, so maps keyed by
+/// [`PackedCounter`] accept `&[u64]` lookups.
+impl Borrow<[u64]> for PackedCounter {
+    fn borrow(&self) -> &[u64] {
+        &self.0
+    }
+}
+
 /// The fixed-width field layout packing counter vectors for one system
 /// (`num_locals` local states, counts up to `max_count`).
 #[derive(Clone, Copy, Debug)]
@@ -179,9 +196,24 @@ impl CounterPacking {
     /// Panics if the vector has the wrong length or a count exceeds the
     /// layout's field width.
     pub fn pack(&self, state: &CounterState) -> PackedCounter {
+        let mut words = Vec::with_capacity(self.words());
+        self.pack_into(state, &mut words);
+        PackedCounter(words.into_boxed_slice())
+    }
+
+    /// Packs a counter vector into `words`, replacing its contents — the
+    /// allocation-free form of [`CounterPacking::pack`]. A `HashMap`
+    /// keyed by [`PackedCounter`] can be probed with `&words[..]`
+    /// directly, so exploration allocates a key only for a new state.
+    ///
+    /// # Panics
+    ///
+    /// As for [`CounterPacking::pack`].
+    pub(crate) fn pack_into(&self, state: &CounterState, words: &mut Vec<u64>) {
         let counts = state.counts();
         assert_eq!(counts.len(), self.slots, "counter length mismatch");
-        let mut words = vec![0u64; self.words()];
+        words.clear();
+        words.resize(self.words(), 0);
         for (i, &c) in counts.iter().enumerate() {
             debug_assert!(
                 self.bits == 64 || (c as u64) < (1u64 << self.bits),
@@ -196,7 +228,6 @@ impl CounterPacking {
                 words[word + 1] |= (c as u64) >> (64 - off);
             }
         }
-        PackedCounter(words.into_boxed_slice())
     }
 
     /// Recovers the counter vector from a packed key.
@@ -299,6 +330,21 @@ mod tests {
         assert_eq!(packing.words(), 2);
         let s = CounterState::new(vec![9_999, 1_234, 42, 7_777, 1]);
         assert_eq!(packing.unpack(&packing.pack(&s)), s);
+    }
+
+    #[test]
+    fn pack_into_reuses_the_buffer_and_probes_maps() {
+        let packing = CounterPacking::new(5, 10_000);
+        let mut ids = std::collections::HashMap::new();
+        let a = CounterState::new(vec![9_999, 1_234, 42, 7_777, 1]);
+        ids.insert(packing.pack(&a), 7u32);
+        let mut buf = vec![u64::MAX; 9];
+        packing.pack_into(&a, &mut buf);
+        assert_eq!(buf.len(), packing.words());
+        assert_eq!(ids.get(buf.as_slice()), Some(&7));
+        assert_eq!(PackedCounter::from_words(&buf), packing.pack(&a));
+        packing.pack_into(&CounterState::new(vec![0, 0, 0, 0, 1]), &mut buf);
+        assert_eq!(ids.get(buf.as_slice()), None);
     }
 
     #[test]

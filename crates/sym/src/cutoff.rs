@@ -13,10 +13,20 @@
 //! counting vocabulary successive sizes stay distinguishable forever
 //! (every size has a corner state where some count crosses `one(p)`),
 //! while the handful of atoms one formula mentions stabilizes within a
-//! few sizes. Because correspondence preserves every CTL*∖X formula
-//! over the retained atoms, the verdict at `c` is then the verdict at
-//! every `n ≥ c`: a service holding a [`CutoffCertificate`] answers
-//! `n = 10⁶` without building anything.
+//! few sizes.
+//!
+//! **What a certificate establishes, and what it does not.** A
+//! [`CutoffCertificate`] records checked facts only: correspondence at
+//! `c`/`c + 1` and again at `c + 1`/`c + 2`, and agreeing direct
+//! verdicts at a few sampled sizes past `c`. Correspondence preserves
+//! every CTL*∖X formula over the retained atoms, so the verdict is
+//! *proved* the same at `c`, `c + 1`, `c + 2` and every sampled size.
+//! For the unchecked sizes beyond, the certificate *extrapolates*: it
+//! is strong evidence that the family has stabilized, not a proof that
+//! the verdict holds at every `n ≥ c` — nothing here rules out a
+//! template whose behavior changes again at some larger size the checks
+//! never reached. A service holding a certificate answers `n = 10⁶`
+//! without building anything, on that evidence.
 //!
 //! The procedure is deliberately conservative:
 //!
@@ -209,8 +219,10 @@ pub struct CutoffEvidence {
     pub samples: Vec<u32>,
 }
 
-/// A certified stabilization point: for every `n ≥ c`, the formula's
-/// verdict equals [`holds`](CutoffCertificate::holds).
+/// A certified stabilization point: the formula's verdict is
+/// [`holds`](CutoffCertificate::holds) at the checked sizes (`c`,
+/// `c + 1`, `c + 2` and the samples) and is extrapolated to every other
+/// `n ≥ c` (see the module docs for what that does and does not prove).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CutoffCertificate {
     /// The cutoff: the certificate covers every family size `n ≥ c`.

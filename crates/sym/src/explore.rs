@@ -23,11 +23,12 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use icstar_kripke::{Kripke, KripkeBuilder, StateId};
+use icstar_kripke::{Kripke, StateId};
 use icstar_telemetry::{FlightRecorder, Registry, SpanContext};
 
 use crate::counter::{CounterPacking, CounterState, PackedCounter};
 use crate::labels::CountingSpec;
+use crate::plan::LabelPlan;
 use crate::template::GuardedTemplate;
 
 /// The counter abstraction of `n` identical copies of a template: an
@@ -186,18 +187,24 @@ impl CounterSystem {
     /// their occupancy, e.g. `idle^2|crit^1`.
     pub fn state_name(&self, state: &CounterState) -> String {
         let mut name = String::new();
+        self.push_state_name(state, &mut name);
+        name
+    }
+
+    /// Appends [`CounterSystem::state_name`] to `out`.
+    pub(crate) fn push_state_name(&self, state: &CounterState, out: &mut String) {
+        let start = out.len();
         for (q, &c) in state.counts().iter().enumerate() {
             if c > 0 {
-                if !name.is_empty() {
-                    name.push('|');
+                if out.len() > start {
+                    out.push('|');
                 }
-                let _ = write!(name, "{}^{}", self.template.base().state_name(q as u32), c);
+                let _ = write!(out, "{}^{}", self.template.base().state_name(q as u32), c);
             }
         }
-        if name.is_empty() {
-            name.push_str("empty");
+        if out.len() == start {
+            out.push_str("empty");
         }
-        name
     }
 
     /// Materializes the reachable abstract graph as a [`Kripke`] labeled
@@ -216,52 +223,55 @@ impl CounterSystem {
     /// to re-enumerate each state's moves and flag the fair ones.
     pub fn kripke_with_states(&self, spec: &CountingSpec) -> (Kripke, Vec<CounterState>) {
         let started = Instant::now();
-        let mut b = KripkeBuilder::new();
-        let mut ids: HashMap<PackedCounter, StateId> = HashMap::new();
-        let mut queue: Vec<CounterState> = Vec::new();
-
-        let add = |state: CounterState,
-                   b: &mut KripkeBuilder,
-                   ids: &mut HashMap<PackedCounter, StateId>,
-                   queue: &mut Vec<CounterState>|
-         -> StateId {
-            let key = self.packing.pack(&state);
-            if let Some(&id) = ids.get(&key) {
-                return id;
-            }
-            let atoms = spec.atoms_for_counter(&self.template, &state);
-            let id = b.state_labeled(self.state_name(&state), atoms);
-            ids.insert(key, id);
-            queue.push(state);
-            id
-        };
-
-        // Exploration telemetry is accumulated in locals and flushed
-        // once after the sweep: the hot loop itself touches no atomics.
-        let mut arrivals = 0u64;
-        let mut frontier_peak = 0usize;
-
-        let init = add(self.initial(), &mut b, &mut ids, &mut queue);
-        let mut head = 0;
-        while head < queue.len() {
-            frontier_peak = frontier_peak.max(queue.len() - head);
-            let state = queue[head].clone();
-            head += 1;
-            let from = ids[&self.packing.pack(&state)];
-            for next in self.successors(&state) {
-                arrivals += 1;
-                let to = add(next, &mut b, &mut ids, &mut queue);
-                b.edge(from, to);
-            }
-        }
-        self.flush_explore_metrics(queue.len() as u64, arrivals, started);
+        let graph = explore(
+            self.initial(),
+            |state| self.successors(state),
+            |state, key| self.packing.pack_into(state, key),
+        );
+        // Exploration telemetry is flushed once after the sweep: the hot
+        // loop itself touches no atomics. Every successor arrival is one
+        // edge.
+        self.flush_explore_metrics(
+            graph.states.len() as u64,
+            graph.succ_edges.len() as u64,
+            started,
+        );
         self.telemetry
             .gauge("sym.explore.frontier_peak")
-            .set_max(frontier_peak as i64);
-        let kripke = b
-            .build(init)
-            .expect("counter exploration is stutter-completed, hence total");
-        (kripke, queue)
+            .set_max(graph.frontier_peak as i64);
+        let kripke = self.freeze(
+            spec,
+            &graph.states,
+            graph.succ_heads,
+            graph.succ_edges,
+            StateId(0),
+        );
+        (kripke, graph.states)
+    }
+
+    /// Labels and names explored states and freezes them with their CSR
+    /// successor lists: `states[i]` becomes state `i`. The sequential and
+    /// sharded builds share this step.
+    fn freeze(
+        &self,
+        spec: &CountingSpec,
+        states: &[CounterState],
+        succ_heads: Vec<u32>,
+        succ_edges: Vec<StateId>,
+        init: StateId,
+    ) -> Kripke {
+        let plan = LabelPlan::new(spec, &self.template, 0);
+        let mut labeler = plan.labeler(states.len());
+        let names = states
+            .iter()
+            .map(|state| {
+                labeler.push(state.counts(), &[]);
+                self.state_name(state)
+            })
+            .collect();
+        let (atoms, labels) = labeler.finish();
+        Kripke::from_csr(atoms, labels, succ_heads, succ_edges, init, names)
+            .expect("counter exploration is stutter-completed, hence total")
     }
 
     /// Publishes one exploration's aggregate counts:
@@ -315,24 +325,22 @@ impl CounterSystem {
         let (discovered, arrivals) = self.explore_sharded(shards);
         self.flush_explore_metrics(discovered.len() as u64, arrivals, started);
 
-        let mut b = KripkeBuilder::new();
-        let mut ids: HashMap<PackedCounter, StateId> = HashMap::with_capacity(discovered.len());
-        for (state, _) in &discovered {
-            let atoms = spec.atoms_for_counter(&self.template, state);
-            let id = b.state_labeled(self.state_name(state), atoms);
-            ids.insert(self.packing.pack(state), id);
-        }
-        for (state, succs) in &discovered {
-            let from = ids[&self.packing.pack(state)];
-            for key in succs {
-                b.edge(from, ids[key]);
-            }
+        let ids: HashMap<PackedCounter, StateId> = discovered
+            .iter()
+            .enumerate()
+            .map(|(i, (state, _))| (self.packing.pack(state), StateId(i as u32)))
+            .collect();
+        let mut succ_heads = Vec::with_capacity(discovered.len() + 1);
+        succ_heads.push(0u32);
+        let mut succ_edges = Vec::new();
+        for (_, succs) in &discovered {
+            succ_edges.extend(succs.iter().map(|key| ids[key]));
+            succ_heads.push(succ_edges.len() as u32);
         }
         let init = ids[&self.packing.pack(&self.initial())];
-        let kripke = b
-            .build(init)
-            .expect("sharded exploration is stutter-completed, hence total");
-        let states = discovered.into_iter().map(|(state, _)| state).collect();
+        drop(ids);
+        let states: Vec<CounterState> = discovered.into_iter().map(|(state, _)| state).collect();
+        let kripke = self.freeze(spec, &states, succ_heads, succ_edges, init);
         (kripke, states)
     }
 
@@ -459,6 +467,60 @@ impl CounterSystem {
         // count comparable with the sequential BFS's.
         (discovered, arrivals.saturating_sub(1))
     }
+}
+
+/// A reachable graph with dense ids in BFS discovery order: `states[i]`
+/// is state `i`, the initial state is state 0, and the successors of
+/// state `i` are `succ_edges[succ_heads[i]..succ_heads[i + 1]]` — CSR
+/// form, ready for [`Kripke::from_csr`].
+pub(crate) struct Explored<S> {
+    pub(crate) states: Vec<S>,
+    pub(crate) succ_heads: Vec<u32>,
+    pub(crate) succ_edges: Vec<StateId>,
+    /// The most states discovered but not yet expanded at any one time.
+    pub(crate) frontier_peak: usize,
+}
+
+/// Breadth-first exploration from `init`. States are expanded in the
+/// order they are discovered, so each state's successor list (in
+/// `successors` order, duplicates kept) is appended straight to the CSR
+/// arrays. `key` writes a state's dedup key into a reused buffer; only a
+/// new state allocates its [`PackedCounter`].
+pub(crate) fn explore<S>(
+    init: S,
+    mut successors: impl FnMut(&S) -> Vec<S>,
+    mut key: impl FnMut(&S, &mut Vec<u64>),
+) -> Explored<S> {
+    let mut ids: HashMap<PackedCounter, StateId> = HashMap::new();
+    let mut buf = Vec::new();
+    key(&init, &mut buf);
+    ids.insert(PackedCounter::from_words(&buf), StateId(0));
+    let mut graph = Explored {
+        states: vec![init],
+        succ_heads: vec![0],
+        succ_edges: Vec::new(),
+        frontier_peak: 0,
+    };
+    let mut head = 0;
+    while head < graph.states.len() {
+        graph.frontier_peak = graph.frontier_peak.max(graph.states.len() - head);
+        for next in successors(&graph.states[head]) {
+            key(&next, &mut buf);
+            let to = match ids.get(buf.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = StateId(graph.states.len() as u32);
+                    ids.insert(PackedCounter::from_words(&buf), id);
+                    graph.states.push(next);
+                    id
+                }
+            };
+            graph.succ_edges.push(to);
+        }
+        graph.succ_heads.push(graph.succ_edges.len() as u32);
+        head += 1;
+    }
+    graph
 }
 
 #[cfg(test)]

@@ -25,15 +25,13 @@
 //! representatives no longer speak for every copy — the engine rejects
 //! such formulas instead of answering unsoundly.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use icstar_kripke::{Index, IndexedKripke, Kripke, StateId};
 
-use icstar_kripke::{Atom, Index, IndexedKripke, KripkeBuilder, StateId};
-
-use crate::counter::{CounterState, PackedCounter};
+use crate::counter::CounterState;
 use crate::error::SymError;
-use crate::explore::CounterSystem;
+use crate::explore::{explore, CounterSystem};
 use crate::labels::CountingSpec;
+use crate::plan::LabelPlan;
 
 /// The index carried by the first distinguished copy in representative
 /// structures; a width-`k` structure labels its tracked copies
@@ -121,147 +119,150 @@ pub fn representative_with_states(
         others: CounterState::all_in(num_locals, template.initial(), n - width),
     };
 
-    let mut b = KripkeBuilder::new();
-    let mut ids: HashMap<(Vec<u32>, PackedCounter), StateId> = HashMap::new();
-    // The BFS queue carries each state's id so the expansion loop never
-    // re-derives it (cloning the locals and re-packing the counter per
-    // pop would be pure overhead on the hot path).
-    let mut queue: Vec<(RepState, StateId)> = Vec::new();
+    let graph = explore(
+        initial,
+        |state| rep_successors(sys, state),
+        |state, key| rep_key(sys, state, key),
+    );
 
-    let add = |state: RepState,
-               b: &mut KripkeBuilder,
-               ids: &mut HashMap<(Vec<u32>, PackedCounter), StateId>,
-               queue: &mut Vec<(RepState, StateId)>|
-     -> StateId {
-        let key = (state.locals.clone(), sys.packing().pack(&state.others));
-        if let Some(&id) = ids.get(&key) {
-            return id;
-        }
-        let total = state.total_counts(num_locals);
-        let mut atoms: Vec<Atom> = Vec::new();
-        for (c, &l) in state.locals.iter().enumerate() {
-            atoms.extend(
-                template
-                    .base()
-                    .labels(l)
-                    .iter()
-                    .map(|p| Atom::indexed(p.clone(), REPRESENTATIVE_INDEX + c as Index)),
-            );
-        }
-        atoms.extend(spec.atoms_for(|p| template.prop_count(&total, p)));
-        let mut name = String::from("rep=");
-        for (c, &l) in state.locals.iter().enumerate() {
-            if c > 0 {
-                name.push(',');
-            }
-            name.push_str(template.base().state_name(l));
-        }
-        let _ = write!(name, "|{}", sys.state_name(&state.others));
-        let id = b.state_labeled(name, atoms);
-        ids.insert(key, id);
-        queue.push((state, id));
-        id
-    };
-
-    let init = add(initial, &mut b, &mut ids, &mut queue);
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, from) = queue[head].clone();
-        head += 1;
-        let total = state.total_counts(num_locals);
-        let mut succs: Vec<RepState> = Vec::new();
-        // One tracked copy moves...
-        for (t, &q) in state.locals.iter().enumerate() {
-            for (k, &q2) in template.base().successors(q).iter().enumerate() {
-                if template.enabled(&total, q, k) {
-                    let mut locals = state.locals.clone();
-                    locals[t] = q2;
-                    let next = RepState {
-                        locals,
-                        others: state.others.clone(),
-                    };
-                    if !succs.contains(&next) {
-                        succs.push(next);
-                    }
-                }
-            }
-        }
-        // ...or one of the abstracted copies moves.
-        for q in 0..num_locals as u32 {
-            if state.others.count(q) == 0 {
-                continue;
-            }
-            for (k, &q2) in template.base().successors(q).iter().enumerate() {
-                if template.enabled(&total, q, k) {
-                    let next = RepState {
-                        locals: state.locals.clone(),
-                        others: state.others.move_one(q, q2),
-                    };
-                    if !succs.contains(&next) {
-                        succs.push(next);
-                    }
-                }
-            }
-        }
-        // ...or a broadcast fires. Either some tracked copy initiates
-        // (its tracked peers and every abstracted copy respond), or an
-        // abstracted copy does (all tracked copies respond).
-        for bc in template.broadcasts() {
-            if !template.broadcast_enabled(&total, bc) {
-                continue;
-            }
-            for (t, &q) in state.locals.iter().enumerate() {
-                if q != bc.source() {
-                    continue;
-                }
-                let mut locals: Vec<u32> =
-                    state.locals.iter().map(|&l| bc.response_of(l)).collect();
-                locals[t] = bc.target();
-                let next = RepState {
-                    locals,
-                    others: state.others.respond(bc.response()),
-                };
-                if !succs.contains(&next) {
-                    succs.push(next);
-                }
-            }
-            if state.others.count(bc.source()) > 0 {
-                let next = RepState {
-                    locals: state.locals.iter().map(|&l| bc.response_of(l)).collect(),
-                    others: state
-                        .others
-                        .broadcast(bc.source(), bc.target(), bc.response()),
-                };
-                if !succs.contains(&next) {
-                    succs.push(next);
-                }
-            }
-        }
-        if succs.is_empty() {
-            succs.push(state.clone());
-        }
-        for next in succs {
-            let to = add(next, &mut b, &mut ids, &mut queue);
-            b.edge(from, to);
-        }
-    }
-    let kripke = b
-        .build(init)
-        .expect("representative exploration is stutter-completed, hence total");
+    // Freeze: label each state from its total occupancy and its tracked
+    // copies' local states through the shared label plan.
+    let plan = LabelPlan::new(spec, template, width);
+    let mut labeler = plan.labeler(graph.states.len());
+    let names = graph
+        .states
+        .iter()
+        .map(|state| {
+            labeler.push(state.total_counts(num_locals).counts(), &state.locals);
+            rep_name(sys, state)
+        })
+        .collect();
+    let (atoms, labels) = labeler.finish();
+    let kripke = Kripke::from_csr(
+        atoms,
+        labels,
+        graph.succ_heads,
+        graph.succ_edges,
+        StateId(0),
+        names,
+    )
+    .expect("representative exploration is stutter-completed, hence total");
     let indexed = IndexedKripke::new(
         kripke,
         (0..width)
             .map(|c| REPRESENTATIVE_INDEX + c as Index)
             .collect(),
     );
-    let states = queue.into_iter().map(|(state, _)| state).collect();
-    Ok((indexed, states))
+    Ok((indexed, graph.states))
+}
+
+/// The dedup key of a representative state: the packed occupancy of the
+/// abstracted copies followed by one word per tracked copy's local state.
+fn rep_key(sys: &CounterSystem, state: &RepState, key: &mut Vec<u64>) {
+    sys.packing().pack_into(&state.others, key);
+    key.extend(state.locals.iter().map(|&l| u64::from(l)));
+}
+
+/// A readable name for a representative state, e.g. `rep=try,idle|idle^3`:
+/// the tracked copies' local states, then the abstracted occupancy.
+fn rep_name(sys: &CounterSystem, state: &RepState) -> String {
+    let base = sys.template().base();
+    let mut name = String::from("rep=");
+    for (c, &l) in state.locals.iter().enumerate() {
+        if c > 0 {
+            name.push(',');
+        }
+        name.push_str(base.state_name(l));
+    }
+    name.push('|');
+    sys.push_state_name(&state.others, &mut name);
+    name
+}
+
+/// The distinct successors of a representative state, in deterministic
+/// order; a state with no enabled move yields a stuttering `[state]`.
+fn rep_successors(sys: &CounterSystem, state: &RepState) -> Vec<RepState> {
+    let template = sys.template();
+    let num_locals = template.num_states();
+    let total = state.total_counts(num_locals);
+    let mut succs: Vec<RepState> = Vec::new();
+    // One tracked copy moves...
+    for (t, &q) in state.locals.iter().enumerate() {
+        for (k, &q2) in template.base().successors(q).iter().enumerate() {
+            if template.enabled(&total, q, k) {
+                let mut locals = state.locals.clone();
+                locals[t] = q2;
+                let next = RepState {
+                    locals,
+                    others: state.others.clone(),
+                };
+                if !succs.contains(&next) {
+                    succs.push(next);
+                }
+            }
+        }
+    }
+    // ...or one of the abstracted copies moves.
+    for q in 0..num_locals as u32 {
+        if state.others.count(q) == 0 {
+            continue;
+        }
+        for (k, &q2) in template.base().successors(q).iter().enumerate() {
+            if template.enabled(&total, q, k) {
+                let next = RepState {
+                    locals: state.locals.clone(),
+                    others: state.others.move_one(q, q2),
+                };
+                if !succs.contains(&next) {
+                    succs.push(next);
+                }
+            }
+        }
+    }
+    // ...or a broadcast fires. Either some tracked copy initiates (its
+    // tracked peers and every abstracted copy respond), or an abstracted
+    // copy does (all tracked copies respond).
+    for bc in template.broadcasts() {
+        if !template.broadcast_enabled(&total, bc) {
+            continue;
+        }
+        for (t, &q) in state.locals.iter().enumerate() {
+            if q != bc.source() {
+                continue;
+            }
+            let mut locals: Vec<u32> = state.locals.iter().map(|&l| bc.response_of(l)).collect();
+            locals[t] = bc.target();
+            let next = RepState {
+                locals,
+                others: state.others.respond(bc.response()),
+            };
+            if !succs.contains(&next) {
+                succs.push(next);
+            }
+        }
+        if state.others.count(bc.source()) > 0 {
+            let next = RepState {
+                locals: state.locals.iter().map(|&l| bc.response_of(l)).collect(),
+                others: state
+                    .others
+                    .broadcast(bc.source(), bc.target(), bc.response()),
+            };
+            if !succs.contains(&next) {
+                succs.push(next);
+            }
+        }
+    }
+    if succs.is_empty() {
+        succs.push(state.clone());
+    }
+    succs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::template::{mutex_template, GuardedTemplate};
+    use icstar_kripke::Atom;
     use icstar_logic::parse_state;
     use icstar_mc::IndexedChecker;
     use icstar_nets::fig41_template;

@@ -9,16 +9,16 @@ use std::time::Instant;
 
 use icstar::icstar_bisim::spot::random_walk_simulation_check;
 use icstar::icstar_kripke::dot::to_dot;
-use icstar::icstar_logic::{check_restricted, parse_state, quantifier_depth};
+use icstar::icstar_logic::{check_restricted, parse_state, quantifier_depth, StateFormula};
+use icstar::icstar_sym::{GuardedTemplate, SymEngine};
 use icstar::{
     indexed_correspond, maximal_correspondence, verify_correspondence, Checker, IndexRelation,
     IndexedChecker,
 };
 use icstar_nets::ring::{ReducedRing, RingFamily};
-#[allow(deprecated)] // the deprecated sweep is timed here as the brute-force baseline
 use icstar_nets::{
-    buggy_ring, check_conjecture, counting_formula, fig31_left, fig31_right, fig41_template,
-    interleave, repaired_related, ring_invariants, ring_mutex, ring_properties, Mutation,
+    buggy_ring, counting_formula, fig31_left, fig31_right, fig41_template, interleave,
+    repaired_related, ring_invariants, ring_mutex, ring_properties, Mutation,
 };
 
 fn main() {
@@ -287,36 +287,49 @@ fn explosion() {
     println!("  paper: the number of states grows exponentially in the number of processes\n");
 }
 
-/// E9 — the Section 6 nesting-depth conjecture, swept with the original
-/// brute-force oracle (kept deprecated; `SymEngine::certify_cutoff` is
-/// the decision procedure).
-#[allow(deprecated)]
+/// E9 — the Section 6 nesting-depth conjecture on free products,
+/// decided per formula by `SymEngine::certify_cutoff` on
+/// `GuardedTemplate::free(t)`: a certificate `c` means the verdict is the
+/// same at every n ≥ c; a refusal says why no certificate was issued.
 fn conjecture() {
     println!("== E9: the Section 6 conjecture on free products ==");
-    let t = fig41_template();
+    let fig41 = SymEngine::new(GuardedTemplate::free(fig41_template()));
     for k in 1..=4usize {
-        let f = counting_formula(k);
-        let out = check_conjecture(&t, &f, (k as u32) + 3).unwrap();
         println!(
-            "  depth {} formula: sizes {:?} -> values {:?} (consistent: {})",
-            out.depth, out.sizes, out.values, out.consistent
+            "  depth {k} formula f_{k}: {}",
+            cutoff_line(&fig41, &counting_formula(k))
         );
     }
-    let cyc = icstar_nets::free::cyclic_template();
+    let cyc = SymEngine::new(GuardedTemplate::free(icstar_nets::free::cyclic_template()));
     for src in [
         "forall i. AG(idle[i] -> EF work[i])",
         "exists i. EG !done[i]",
         "forall i. AG AF (idle[i] | work[i] | done[i])",
     ] {
         let f = parse_state(src).unwrap();
-        let out = check_conjecture(&cyc, &f, 4).unwrap();
         println!(
-            "  depth {} formula on cyclic family: consistent: {}",
+            "  depth {} formula on cyclic family: {}",
             quantifier_depth(&f),
-            out.consistent
+            cutoff_line(&cyc, &f)
         );
     }
-    println!("  paper: conjectured; measured: consistent for every battery we ran\n");
+    println!(
+        "  paper: conjectured; measured: every certified formula is constant from its cutoff on\n"
+    );
+}
+
+/// One `certify_cutoff` outcome, timed.
+fn cutoff_line(engine: &SymEngine, f: &StateFormula) -> String {
+    let t = Instant::now();
+    match engine.certify_cutoff(f) {
+        Ok(cert) => format!(
+            "certified: holds = {} for every n >= {} ({:.1?})",
+            cert.holds,
+            cert.c,
+            t.elapsed()
+        ),
+        Err(refusal) => format!("refused: {refusal}"),
+    }
 }
 
 /// E10 — negative controls: the mutants are detected.

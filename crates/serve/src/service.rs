@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 
 use icstar_kripke::Kripke;
 use icstar_logic::{has_index_quantifier, StateFormula};
-use icstar_sym::{required_rep_width, CounterGraph, CountingSpec, SymEngine};
+use icstar_sym::{required_rep_width, CounterGraph, CountingSpec, SymEngine, SymSession};
 use icstar_telemetry::{
-    FlightRecorder, Registry, SpanContext, SpanEvent, TelemetrySnapshot, TraceId, TraceScope,
+    FlightRecorder, Registry, SpanContext, TelemetrySnapshot, TraceId, TraceScope,
 };
 
 use crate::cache::GraphCache;
@@ -149,16 +149,14 @@ struct QueuedJob {
     id: u64,
     job: VerifyJob,
     reply: mpsc::Sender<VerdictReport>,
-    /// When `submit` accepted the job — start of the queue-wait and
-    /// total-latency measurements.
-    submitted: Instant,
-    /// The same instant on the flight recorder's clock, so recorded
-    /// spans line up with `submitted`-derived durations.
-    submitted_ns: u64,
-    /// The job's trace and the pre-allocated id of its root `job` span.
-    /// Children are recorded against `root` as the job progresses; the
-    /// root event itself is recorded last, when its duration is known.
-    root: SpanContext,
+    /// The `queue_wait` span, opened when `submit` accepted the job and
+    /// closed by the worker that picks it up; it feeds
+    /// `serve.job.queue_wait_ns`.
+    queue_wait: TraceScope,
+    /// The root `job` span, open from submission to report. Children
+    /// parent on its context as the job progresses; the worker closes
+    /// it last, when the job's outcome is known.
+    root: TraceScope,
 }
 
 /// Everything the workers share.
@@ -251,24 +249,15 @@ impl VerifyService {
                                     id,
                                     job,
                                     reply,
-                                    submitted,
-                                    submitted_ns,
-                                    root,
+                                    mut queue_wait,
+                                    mut root,
                                 } = q;
                                 let worker = i as u32;
-                                let recorder = &inner.config.recorder;
                                 inner.stats.queue_depth.dec();
-                                let wait = submitted.elapsed();
-                                inner.stats.queue_wait_ns.record_duration(wait);
-                                recorder.record_span(
-                                    root.trace,
-                                    Some(root.span),
-                                    "queue_wait",
-                                    submitted_ns,
-                                    wait.as_nanos() as u64,
-                                    worker,
-                                    Vec::new(),
-                                );
+                                queue_wait.set_tid(worker);
+                                drop(queue_wait);
+                                root.set_tid(worker);
+                                let ctx = root.context();
                                 inner.stats.workers_busy.inc();
                                 // Isolate panics: a pathological job must
                                 // not shrink the pool (each dead worker
@@ -279,27 +268,16 @@ impl VerifyService {
                                 // unwinding past it is safe.
                                 let report =
                                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        process(&inner, id, job, root, worker)
+                                        process(&inner, id, job, ctx, worker)
                                     }));
                                 inner.stats.workers_busy.dec();
                                 // The root `job` span is recorded even for
                                 // a panicked job — its trace is often the
                                 // only evidence of what the job was doing.
-                                let total = submitted.elapsed();
                                 let outcome = if report.is_ok() { "ok" } else { "panicked" };
-                                recorder.record(SpanEvent {
-                                    trace: root.trace,
-                                    id: root.span,
-                                    parent: None,
-                                    name: "job".into(),
-                                    start_ns: submitted_ns,
-                                    dur_ns: total.as_nanos() as u64,
-                                    tid: worker,
-                                    attrs: vec![
-                                        ("id".into(), id.to_string()),
-                                        ("outcome".into(), outcome.into()),
-                                    ],
-                                });
+                                root.attr("id", id.to_string());
+                                root.attr("outcome", outcome);
+                                let total = root.finish();
                                 if let Ok(report) = report {
                                     inner.stats.jobs_completed.inc();
                                     inner.stats.total_ns.record_duration(total);
@@ -370,25 +348,26 @@ impl VerifyService {
         self.inner.stats.queue_depth.inc();
         let recorder = &self.inner.config.recorder;
         let trace = trace.unwrap_or_else(|| recorder.new_trace());
-        // The root `job` span's id is fixed now so the worker can parent
-        // children on it before the root event itself (recorded at
-        // completion, when its duration is known) exists in the ring.
-        let root = SpanContext {
-            trace,
-            span: recorder.new_span_id(),
-        };
+        // Both spans start now and end on a worker thread, so neither
+        // joins this thread's nesting stack.
+        let root = recorder.scope_detached(trace, None, "job");
+        let mut queue_wait =
+            recorder.scope_detached(trace, Some(root.context().span), "queue_wait");
+        queue_wait.set_histogram(self.inner.stats.queue_wait_ns.clone());
         let queued = QueuedJob {
             id,
             job,
             reply,
-            submitted: Instant::now(),
-            submitted_ns: recorder.now_ns(),
+            queue_wait,
             root,
         };
         if let Some(tx) = &self.tx {
             // Failure means every worker has died; the handle will then
-            // report `JobLost`.
-            let _ = tx.send(queued);
+            // report `JobLost`, and the job never waited or ran.
+            if let Err(mpsc::SendError(lost)) = tx.send(queued) {
+                lost.queue_wait.cancel();
+                lost.root.cancel();
+            }
         }
         JobHandle { id, trace, rx }
     }
@@ -480,40 +459,36 @@ impl Drop for VerifyService {
     }
 }
 
-/// Times one cache fetch and files its latency under hit or miss: the
-/// closure receives a flag it must set iff *this* call ran the build.
-/// An in-flight wait (the builder is a peer) counts as a hit — an
-/// honest, slow one; the tail of `serve.cache.hit_ns` is contention,
-/// not lookup cost. Returns the flag too, so the caller's
-/// `cache_lookup` span can carry the outcome.
-fn timed_fetch<T>(
-    stats: &ServiceStats,
-    fetch: impl FnOnce(&Cell<bool>) -> T,
-) -> (T, Duration, bool) {
-    let built = Cell::new(false);
-    let start = Instant::now();
-    let out = fetch(&built);
-    let dur = start.elapsed();
-    if built.get() {
-        stats.cache_miss_ns.record_duration(dur);
+/// Closes a `cache_lookup` span, tagging its outcome and filing its
+/// duration under `serve.cache.miss_ns` if *this* fetch ran the build,
+/// `serve.cache.hit_ns` otherwise. An in-flight wait (the builder is a
+/// peer) counts as a hit — an honest, slow one; the tail of
+/// `serve.cache.hit_ns` is contention, not lookup cost. Returns the
+/// duration for the job's `serve.job.build_ns` total.
+fn finish_lookup(mut lookup: TraceScope, built: bool, stats: &ServiceStats) -> Duration {
+    let (outcome, histogram) = if built {
+        ("miss", &stats.cache_miss_ns)
     } else {
-        stats.cache_hit_ns.record_duration(dur);
-    }
-    (out, dur, built.get())
+        ("hit", &stats.cache_hit_ns)
+    };
+    lookup.attr("outcome", outcome);
+    lookup.set_histogram(histogram.clone());
+    lookup.finish()
 }
 
 /// Runs one job: for every size, fetch-or-build the needed structures
 /// through the cache — the counter graph, plus one representative
 /// structure per distinct width the job's formulas require — then check
-/// every formula on a session seeded with them. Structure acquisition
-/// and checking are timed separately into the per-job phase histograms
-/// (`serve.job.build_ns` / `serve.job.check_ns`, one sample per job).
+/// every formula on a session seeded with them.
 ///
-/// Every phase also records a span under the job's `root` context —
+/// Every phase records a span under the job's `root` context —
 /// `cache_lookup` (with its hit/miss outcome), `build` (only when this
 /// worker actually materialized; under it, the sharded exploration's
 /// `shard[i]` spans), and `check` — all on the flight recorder, tagged
-/// with this worker's index as the Chrome-trace lane.
+/// with this worker's index as the Chrome-trace lane. The per-job phase
+/// histograms (`serve.job.build_ns` / `serve.job.check_ns`, one sample
+/// per job) are the sums of the `cache_lookup` and `check` spans'
+/// durations.
 fn process(
     inner: &Inner,
     id: u64,
@@ -567,17 +542,14 @@ fn process(
             lookup.set_tid(worker);
             lookup.attr("kind", "counter");
             lookup.attr("n", n.to_string());
-            let (graph, dur, built) = timed_fetch(&inner.stats, |built| {
-                inner
-                    .cache
-                    .counter(engine.template(), engine.spec(), n, || {
-                        built.set(true);
-                        materialize(inner, &engine, n, root, worker)
-                    })
-            });
-            lookup.attr("outcome", if built { "miss" } else { "hit" });
-            drop(lookup);
-            build_time += dur;
+            let built = Cell::new(false);
+            let graph = inner
+                .cache
+                .counter(engine.template(), engine.spec(), n, || {
+                    built.set(true);
+                    materialize(inner, &engine, n, root, worker)
+                });
+            build_time += finish_lookup(lookup, built.get(), &inner.stats);
             session.seed_counter(graph);
         }
         if any_indexed && n > 0 {
@@ -599,7 +571,8 @@ fn process(
                 lookup.attr("kind", "representative");
                 lookup.attr("n", n.to_string());
                 lookup.attr("width", width.to_string());
-                let (rep, dur, built) = timed_fetch(&inner.stats, |built| {
+                let built = Cell::new(false);
+                let rep =
                     inner
                         .cache
                         .representative(engine.template(), engine.spec(), n, width, || {
@@ -614,11 +587,8 @@ fn process(
                                 size_attrs(&mut build, rep.kripke.kripke());
                             }
                             rep
-                        })
-                });
-                lookup.attr("outcome", if built { "miss" } else { "hit" });
-                drop(lookup);
-                build_time += dur;
+                        });
+                build_time += finish_lookup(lookup, built.get(), &inner.stats);
                 if let Ok(rep) = rep {
                     session.seed_representative(width, rep);
                 }
@@ -646,25 +616,9 @@ fn process(
                 });
                 continue;
             }
-            let check_started = Instant::now();
-            let run = session.check_described(f);
-            check_time += check_started.elapsed();
-            let (result, rep_width, fair) = match run {
-                Ok(run) => (Ok(run.holds), run.rep_width, run.fair),
-                Err(e) => {
-                    inner.stats.verdict_errors.inc();
-                    (Err(e), 0, false)
-                }
-            };
-            verdicts.push(JobVerdict {
-                name: name.clone(),
-                n,
-                result,
-                rep_width,
-                fair,
-                cutoff: None,
-            });
+            verdicts.push(direct_verdict(inner, &mut session, n, name, f));
         }
+        check_time += check.finish();
     }
     if let Some(lo) = all_from {
         process_unbounded(
@@ -726,27 +680,15 @@ fn process_unbounded(
         drop(certify);
         match outcome {
             Ok(cert) => {
+                // These checks have no span of their own (an unbounded
+                // job's trace is `queue_wait` + `certify`), so they are
+                // plain-timed into the job's check total.
+                let started = Instant::now();
                 for n in lo..cert.c {
                     inner.stats.formulas_checked.inc();
-                    let check_started = Instant::now();
-                    let run = engine.session(n).check_described(f);
-                    *check_time += check_started.elapsed();
-                    let (result, rep_width, fair) = match run {
-                        Ok(run) => (Ok(run.holds), run.rep_width, run.fair),
-                        Err(e) => {
-                            inner.stats.verdict_errors.inc();
-                            (Err(e), 0, false)
-                        }
-                    };
-                    verdicts.push(JobVerdict {
-                        name: name.clone(),
-                        n,
-                        result,
-                        rep_width,
-                        fair,
-                        cutoff: None,
-                    });
+                    verdicts.push(direct_verdict(inner, &mut engine.session(n), n, name, f));
                 }
+                *check_time += started.elapsed();
                 inner.stats.formulas_checked.inc();
                 inner.stats.cutoff_answers.inc();
                 verdicts.push(JobVerdict {
@@ -771,6 +713,32 @@ fn process_unbounded(
                 });
             }
         }
+    }
+}
+
+/// Checks `f` on `session` and reports the verdict; an error becomes the
+/// verdict (and counts in `serve.verdicts.errors`).
+fn direct_verdict(
+    inner: &Inner,
+    session: &mut SymSession<'_>,
+    n: u32,
+    name: &str,
+    f: &StateFormula,
+) -> JobVerdict {
+    let (result, rep_width, fair) = match session.check_described(f) {
+        Ok(run) => (Ok(run.holds), run.rep_width, run.fair),
+        Err(e) => {
+            inner.stats.verdict_errors.inc();
+            (Err(e), 0, false)
+        }
+    };
+    JobVerdict {
+        name: name.to_owned(),
+        n,
+        result,
+        rep_width,
+        fair,
+        cutoff: None,
     }
 }
 
@@ -1201,6 +1169,46 @@ mod tests {
     }
 
     #[test]
+    fn cache_lookup_spans_are_the_hit_and_miss_samples() {
+        let config = small_config();
+        let recorder = config.recorder.clone();
+        let service = VerifyService::start(config);
+        let job = VerifyJob::new(mutex_template())
+            .at_size(6)
+            .formula("m", parse_state("AG !crit_ge2").unwrap());
+        let mut lookups = Vec::new();
+        for _ in 0..2 {
+            let h = service.submit(job.clone());
+            let trace = h.trace;
+            h.wait().unwrap();
+            let spans = recorder.spans_for(trace);
+            let lookup: Vec<_> = spans.iter().filter(|s| s.name == "cache_lookup").collect();
+            assert_eq!(lookup.len(), 1, "one structure fetched per job");
+            lookups.push(lookup[0].clone());
+        }
+        let snap = service.telemetry_snapshot();
+        // First fetch materialized, second was served: one sample each,
+        // and each sample is the matching span's own duration.
+        for (lookup, outcome) in lookups.iter().zip(["miss", "hit"]) {
+            assert!(
+                lookup
+                    .attrs
+                    .iter()
+                    .any(|(k, v)| k == "outcome" && v == outcome),
+                "{lookup:?}"
+            );
+            let h = snap
+                .histogram(&format!("serve.cache.{outcome}_ns"))
+                .unwrap();
+            assert_eq!(h.count, 1, "{outcome}");
+            assert_eq!(h.sum, lookup.dur_ns, "{outcome}");
+        }
+        // A single-size job's build total is its one lookup.
+        let build = snap.histogram("serve.job.build_ns").unwrap();
+        assert_eq!(build.sum, lookups[0].dur_ns + lookups[1].dur_ns);
+    }
+
+    #[test]
     fn submit_traced_joins_the_callers_trace() {
         let config = small_config();
         let recorder = config.recorder.clone();
@@ -1277,6 +1285,9 @@ mod tests {
             ..small_config()
         });
         let depth = service.telemetry().gauge("serve.queue.depth");
+        // Holding the notifier lock parks the worker after its first job,
+        // so a descheduled submitter cannot see the queue drained early.
+        let parked = service.inner.notify.lock().unwrap();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 service.submit(
@@ -1289,6 +1300,7 @@ mod tests {
         // 4 submissions, 1 worker: at the moment of the last submit at
         // least 4 - 1 jobs had been enqueued and at most one picked up.
         assert!(depth.get() >= 3);
+        drop(parked);
         for h in handles {
             h.wait().unwrap();
         }

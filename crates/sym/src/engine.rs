@@ -24,13 +24,14 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
 
 use icstar_kripke::{Atom, IndexedKripke, Kripke};
 use icstar_logic::{
     expand_representatives, fair_fragment_depth, has_index_quantifier, restricted_depth,
     PathFormula, StateFormula,
 };
-use icstar_mc::fair::FairChecker;
+use icstar_mc::fair::{FairChecker, TransFairness};
 use icstar_mc::Checker;
 use icstar_telemetry::{FlightRecorder, Registry, SpanContext};
 
@@ -233,17 +234,15 @@ impl SymEngine {
     pub fn representative_graph(&self, n: u32, width: u32) -> Result<RepGraph, SymError> {
         // Per-width timing: width is bounded by the quantifier nesting
         // depth of real formulas, so the name cardinality stays tiny.
-        let span = self.telemetry.span(
-            format!("sym.rep.w{width}.build"),
-            self.telemetry
-                .histogram(&format!("sym.rep.w{width}.build_ns")),
-        );
+        // Failed builds are not timed.
+        let build_ns = self
+            .telemetry
+            .histogram(&format!("sym.rep.w{width}.build_ns"));
+        let started = Instant::now();
         let rep = fairness::rep_graph(&self.system(n), &self.spec, width);
         if rep.is_ok() {
             self.telemetry.counter("sym.rep.builds").inc();
-            span.stop();
-        } else {
-            span.cancel();
+            build_ns.record_duration(started.elapsed());
         }
         rep
     }
@@ -431,10 +430,9 @@ impl SymSession<'_> {
     ///
     /// As [`SymSession::check_counting`] / [`SymSession::check_indexed`].
     pub fn check_described(&mut self, f: &StateFormula) -> Result<CheckRun, SymError> {
-        let span = self
-            .engine
-            .telemetry
-            .span("sym.check", self.engine.telemetry.histogram("sym.check.ns"));
+        // Failed checks are not timed.
+        let check_ns = self.engine.telemetry.histogram("sym.check.ns");
+        let started = Instant::now();
         let run = if has_index_quantifier(f) {
             self.check_indexed_described(f)
         } else {
@@ -446,9 +444,7 @@ impl SymSession<'_> {
             })
         };
         if run.is_ok() {
-            span.stop();
-        } else {
-            span.cancel();
+            check_ns.record_duration(started.elapsed());
         }
         run
     }
@@ -468,16 +464,15 @@ impl SymSession<'_> {
             )));
         }
         self.engine.validate_plain_atoms(&used)?;
-        if self.engine.template.is_fair() {
+        let fair = self.engine.template.is_fair();
+        if fair {
             // Path quantifiers range over fair paths: gate to the CTL
             // fragment the fair checker supports, then evaluate against
             // the compiled requirements.
             fair_fragment_depth(f)?;
-            let g = self.counter_arc();
-            return Ok(FairChecker::new(&g.kripke, &g.fairness).holds(f)?);
         }
-        let mut chk = Checker::new(&self.counter_ref().kripke);
-        Ok(chk.holds(f)?)
+        let g = self.counter_ref();
+        run_checker(&g.kripke, &g.fairness, fair, f)
     }
 
     /// Checks a closed k-restricted ICTL* formula through the
@@ -510,12 +505,8 @@ impl SymSession<'_> {
         self.engine.validate_plain_atoms(&used)?;
         if self.n == 0 {
             let expanded = icstar_mc::expand(f, &[]);
-            let g = self.counter_arc();
-            let holds = if fair {
-                FairChecker::new(&g.kripke, &g.fairness).holds(&expanded)?
-            } else {
-                Checker::new(&g.kripke).holds(&expanded)?
-            };
+            let g = self.counter_ref();
+            let holds = run_checker(&g.kripke, &g.fairness, fair, &expanded)?;
             return Ok(CheckRun {
                 holds,
                 rep_width: 0,
@@ -533,11 +524,7 @@ impl SymSession<'_> {
         // (distinct-index case split), then model-check the closed
         // constant-indexed formula on the width-`width` structure.
         let expanded = expand_representatives(f, width);
-        let holds = if fair {
-            FairChecker::new(rep.kripke.kripke(), &rep.fairness).holds(&expanded)?
-        } else {
-            Checker::new(rep.kripke.kripke()).holds(&expanded)?
-        };
+        let holds = run_checker(rep.kripke.kripke(), &rep.fairness, fair, &expanded)?;
         Ok(CheckRun {
             holds,
             rep_width: width,
@@ -559,6 +546,22 @@ impl SymSession<'_> {
         }
         Ok(self.reps.get(&width).expect("just materialized"))
     }
+}
+
+/// The one checker dispatch: under fairness path quantifiers range over
+/// fair paths only ([`FairChecker`], CTL-shaped — callers gate the
+/// fragment first); otherwise the full CTL* [`Checker`] runs.
+fn run_checker(
+    kripke: &Kripke,
+    fairness: &TransFairness,
+    fair: bool,
+    f: &StateFormula,
+) -> Result<bool, SymError> {
+    Ok(if fair {
+        FairChecker::new(kripke, fairness).holds(f)?
+    } else {
+        Checker::new(kripke).holds(f)?
+    })
 }
 
 /// The atoms appearing in a formula, by kind.

@@ -395,12 +395,15 @@ impl CounterSystem {
                         s.spawn(move || {
                             // The shard's trace span (if a parent was
                             // attached): opened here, closed — and thereby
-                            // recorded, with this shard's counts — when the
-                            // worker exits.
-                            let mut shard_span = trace.map(|(recorder, parent)| {
+                            // recorded, with this shard's counts, into the
+                            // ring and `sym.explore.shard_ns` — when the
+                            // worker exits. Untraced, the shard is
+                            // plain-timed into the same histogram.
+                            let shard_span = trace.map(|(recorder, parent)| {
                                 let mut span =
                                     recorder.scope_under(parent, format!("shard[{shard_idx}]"));
                                 span.set_tid(shard_idx as u32);
+                                span.set_histogram(shard_ns.clone());
                                 span
                             });
                             let shard_started = Instant::now();
@@ -443,10 +446,12 @@ impl CounterSystem {
                                     Err(RecvTimeoutError::Disconnected) => break,
                                 }
                             }
-                            shard_ns.record_duration(shard_started.elapsed());
-                            if let Some(span) = &mut shard_span {
-                                span.attr("arrivals", arrivals.to_string());
-                                span.attr("states", mine.len().to_string());
+                            match shard_span {
+                                Some(mut span) => {
+                                    span.attr("arrivals", arrivals.to_string());
+                                    span.attr("states", mine.len().to_string());
+                                }
+                                None => shard_ns.record_duration(shard_started.elapsed()),
                             }
                             (mine, arrivals)
                         })

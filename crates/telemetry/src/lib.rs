@@ -1,8 +1,7 @@
 //! Dependency-free observability core for the icstar verification
 //! stack: monotonic [`Counter`]s, signed [`Gauge`]s, log₂-bucketed
-//! latency [`Histogram`]s, RAII [`SpanTimer`]s, and a namespaced
-//! [`Registry`] that freezes everything into one coherent
-//! [`TelemetrySnapshot`].
+//! latency [`Histogram`]s, and a namespaced [`Registry`] that freezes
+//! everything into one coherent [`TelemetrySnapshot`].
 //!
 //! Design constraints, in order:
 //!
@@ -22,15 +21,16 @@
 //! for the `METRICS` wire command ([`TelemetrySnapshot::to_prometheus`]
 //! / [`TelemetrySnapshot::parse_prometheus`]) and a JSON dump
 //! ([`TelemetrySnapshot::to_json`] / [`TelemetrySnapshot::from_json`]).
-//! A registry with a trace sink ([`Registry::set_trace_sink`];
-//! `ICSTAR_TRACE=<path>` seeds [`Registry::global`]'s) additionally
-//! streams every finished [`Registry::span`] timer as a JSON line.
 //!
 //! On top of the aggregates sits per-job **causal tracing**: the
 //! [`FlightRecorder`] ring buffer retains recent [`SpanEvent`]s keyed
 //! by [`TraceId`], [`TraceScope`] guards nest through a thread-local
 //! stack, and [`to_chrome_trace`] / [`parse_chrome_trace`] round-trip
-//! the Chrome Trace Event Format the wire `TRACE` command serves.
+//! the Chrome Trace Event Format the wire `TRACE <id> chrome` command
+//! serves — the one span file format. [`TraceScope`] is also the one
+//! span type: a scope bound to a histogram
+//! ([`TraceScope::set_histogram`]) records its duration there as well,
+//! so a latency metric and its span are a single measurement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,6 @@
 mod metrics;
 mod registry;
 mod snapshot;
-mod span;
 mod trace;
 
 pub use metrics::{
@@ -46,7 +45,6 @@ pub use metrics::{
 };
 pub use registry::Registry;
 pub use snapshot::{wire_name, MetricValue, TelemetrySnapshot};
-pub use span::{SpanTimer, TRACE_ENV};
 pub use trace::{
     current_context, parse_chrome_trace, to_chrome_trace, to_text_tree, FlightRecorder,
     SpanContext, SpanEvent, SpanId, TraceId, TraceScope, DEFAULT_TRACE_CAPACITY,

@@ -40,9 +40,9 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crate::metrics::Counter;
+use crate::metrics::{Counter, Histogram};
 use crate::registry::Registry;
 
 /// Default [`FlightRecorder`] ring capacity, in spans.
@@ -50,7 +50,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// Identifies one causally-related tree of spans (one verification job,
 /// one wire connection). Allocated from an atomic sequence — never
-/// zero — or supplied by a client as up to 16 lowercase hex digits.
+/// zero — or supplied by a client as up to 16 hex digits (either case).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(u64);
 
@@ -72,8 +72,9 @@ macro_rules! id_impls {
                 self.0
             }
 
-            /// Parses the lowercase-hex wire form ([`Display`](fmt::Display)
-            /// inverse): 1–16 hex digits, nonzero.
+            /// Parses the hex wire form ([`Display`](fmt::Display) inverse,
+            /// which prints lowercase): 1–16 hex digits of either case,
+            /// nonzero.
             pub fn parse_hex(s: &str) -> Option<Self> {
                 if s.is_empty() || s.len() > 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
                     return None;
@@ -221,13 +222,13 @@ impl FlightRecorder {
     }
 
     /// Allocates a fresh span id.
-    pub fn new_span_id(&self) -> SpanId {
+    fn new_span_id(&self) -> SpanId {
         SpanId(self.0.next_span.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Nanoseconds elapsed since the recorder's epoch — the time base
     /// every [`SpanEvent::start_ns`] is expressed in.
-    pub fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.0.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
     }
 
@@ -242,35 +243,6 @@ impl FlightRecorder {
             self.0.dropped.inc();
         }
         ring.push_back(event);
-    }
-
-    /// Records a span with explicit timing and returns its allocated
-    /// id. For retroactive spans whose interval is only known after the
-    /// fact (`job` roots, `queue_wait`), where an RAII scope can't
-    /// bracket the work.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_span(
-        &self,
-        trace: TraceId,
-        parent: Option<SpanId>,
-        name: impl Into<String>,
-        start_ns: u64,
-        dur_ns: u64,
-        tid: u32,
-        attrs: Vec<(String, String)>,
-    ) -> SpanId {
-        let id = self.new_span_id();
-        self.record(SpanEvent {
-            trace,
-            id,
-            parent,
-            name: name.into(),
-            start_ns,
-            dur_ns,
-            tid,
-            attrs,
-        });
-        id
     }
 
     /// The most recent `limit` spans, oldest first.
@@ -319,30 +291,53 @@ impl FlightRecorder {
     /// thread — or a fresh trace root if none is open.
     pub fn scope(&self, name: impl Into<String>) -> TraceScope {
         match current_context() {
-            Some(parent) => self.open(parent.trace, Some(parent.span), name),
-            None => self.open(self.new_trace(), None, name),
+            Some(parent) => self.start(parent.trace, Some(parent.span), name, true),
+            None => self.start(self.new_trace(), None, name, true),
         }
     }
 
     /// Opens a root span in an existing trace (e.g. a client-supplied
     /// trace id): no parent, nesting for this thread starts here.
     pub fn scope_in(&self, trace: TraceId, name: impl Into<String>) -> TraceScope {
-        self.open(trace, None, name)
+        self.start(trace, None, name, true)
     }
 
     /// Opens a span under an explicit parent context — the cross-thread
     /// form: shard workers attach their spans under the `build` span of
     /// the submitting worker.
     pub fn scope_under(&self, parent: SpanContext, name: impl Into<String>) -> TraceScope {
-        self.open(parent.trace, Some(parent.span), name)
+        self.start(parent.trace, Some(parent.span), name, true)
     }
 
-    fn open(&self, trace: TraceId, parent: Option<SpanId>, name: impl Into<String>) -> TraceScope {
+    /// Opens a span that joins no thread's nesting stack: it may be
+    /// moved to another thread, or parked across event-loop ticks, and
+    /// closed there. For intervals that start where they don't end — a
+    /// job's `queue_wait` and `job` root (opened at submit, closed by a
+    /// worker), a wire connection and its deferred `cmd`s. Scopes opened
+    /// on this thread meanwhile do not nest under it.
+    pub fn scope_detached(
+        &self,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        name: impl Into<String>,
+    ) -> TraceScope {
+        self.start(trace, parent, name, false)
+    }
+
+    fn start(
+        &self,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        name: impl Into<String>,
+        nest: bool,
+    ) -> TraceScope {
         let ctx = SpanContext {
             trace,
             span: self.new_span_id(),
         };
-        CURRENT.with(|stack| stack.borrow_mut().push(ctx));
+        if nest {
+            CURRENT.with(|stack| stack.borrow_mut().push(ctx));
+        }
         TraceScope {
             recorder: self.clone(),
             ctx,
@@ -352,6 +347,7 @@ impl FlightRecorder {
             start_ns: self.now_ns(),
             tid: 0,
             attrs: Vec::new(),
+            histogram: None,
             finished: false,
         }
     }
@@ -364,9 +360,11 @@ impl FlightRecorder {
 }
 
 /// RAII span: opened via [`FlightRecorder::scope`] (and variants),
-/// recorded into the ring on drop. While open it sits on the
-/// thread-local stack, so nested `scope()` calls parent under it
-/// automatically.
+/// recorded into the ring on drop — and, if it carries one, its duration
+/// into a [`Histogram`] too, so a latency metric and its `TRACE` span
+/// are one measurement. While open it sits on the thread-local stack
+/// (unless [detached](FlightRecorder::scope_detached)), so nested
+/// `scope()` calls parent under it automatically.
 #[derive(Debug)]
 pub struct TraceScope {
     recorder: FlightRecorder,
@@ -377,6 +375,7 @@ pub struct TraceScope {
     start_ns: u64,
     tid: u32,
     attrs: Vec<(String, String)>,
+    histogram: Option<Histogram>,
     finished: bool,
 }
 
@@ -403,7 +402,39 @@ impl TraceScope {
         self.tid = tid;
     }
 
-    /// Abandons the span: pops the nesting stack, records nothing.
+    /// Binds the histogram this span's duration is recorded into when it
+    /// ends (replacing any earlier one) — exactly one sample, equal to
+    /// the event's [`SpanEvent::dur_ns`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use icstar_telemetry::{FlightRecorder, Registry};
+    ///
+    /// let registry = Registry::new();
+    /// let rec = FlightRecorder::new();
+    /// let check_ns = registry.histogram("serve.job.check_ns");
+    /// let mut check = rec.scope("check");
+    /// check.set_histogram(check_ns.clone());
+    /// let trace = check.context().trace;
+    /// let dur = check.finish(); // or drop it
+    /// assert_eq!(check_ns.count(), 1);
+    /// assert_eq!(check_ns.snapshot().sum, rec.spans_for(trace)[0].dur_ns);
+    /// assert_eq!(dur.as_nanos() as u64, rec.spans_for(trace)[0].dur_ns);
+    /// ```
+    pub fn set_histogram(&mut self, histogram: Histogram) {
+        self.histogram = Some(histogram);
+    }
+
+    /// Ends the span now — recording it exactly as drop would — and
+    /// returns its duration, for callers that also sum it (per-job phase
+    /// totals).
+    pub fn finish(mut self) -> Duration {
+        self.close()
+    }
+
+    /// Abandons the span: pops the nesting stack, records neither the
+    /// event nor a histogram sample.
     pub fn cancel(mut self) {
         self.finished = true;
         self.unwind();
@@ -414,22 +445,27 @@ impl TraceScope {
             let mut stack = stack.borrow_mut();
             // Scopes drop in LIFO order, so ours is on top; if a caller
             // held scopes across an unusual control flow, removing by
-            // id keeps the stack consistent anyway.
+            // id keeps the stack consistent anyway. A detached scope was
+            // never pushed and is simply not found.
             if let Some(pos) = stack.iter().rposition(|c| c.span == self.ctx.span) {
                 stack.remove(pos);
             }
         });
     }
-}
 
-impl Drop for TraceScope {
-    fn drop(&mut self) {
+    /// Records the span (once); the returned duration is only read by
+    /// [`TraceScope::finish`], which never sees a closed scope.
+    fn close(&mut self) -> Duration {
         if self.finished {
-            return;
+            return Duration::ZERO;
         }
+        let dur = self.start.elapsed();
         self.finished = true;
         self.unwind();
-        let dur_ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let dur_ns = dur.as_nanos().min(u64::MAX as u128) as u64;
+        if let Some(histogram) = &self.histogram {
+            histogram.record(dur_ns);
+        }
         self.recorder.record(SpanEvent {
             trace: self.ctx.trace,
             id: self.ctx.span,
@@ -440,6 +476,13 @@ impl Drop for TraceScope {
             tid: self.tid,
             attrs: std::mem::take(&mut self.attrs),
         });
+        dur
+    }
+}
+
+impl Drop for TraceScope {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -803,6 +846,10 @@ mod tests {
             TraceId::parse_hex("deadbeefcafebabe").unwrap().to_string(),
             "deadbeefcafebabe"
         );
+        assert_eq!(
+            TraceId::parse_hex("DEADBEEF"),
+            TraceId::parse_hex("deadbeef")
+        );
         assert_eq!(TraceId::parse_hex("12345678123456789"), None); // 17 digits
         assert_eq!(TraceId::parse_hex("xyz"), None);
     }
@@ -812,7 +859,7 @@ mod tests {
         let rec = FlightRecorder::with_capacity(3);
         let t = rec.new_trace();
         for i in 1..=5u64 {
-            rec.record_span(t, None, format!("s{i}"), i, 1, 0, Vec::new());
+            rec.record(event(t.as_u64(), i, None, &format!("s{i}"), i));
         }
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.dropped(), 2);
@@ -825,9 +872,9 @@ mod tests {
         let rec = FlightRecorder::with_capacity(8);
         let a = rec.new_trace();
         let b = rec.new_trace();
-        rec.record_span(a, None, "a1", 0, 1, 0, Vec::new());
-        rec.record_span(b, None, "b1", 0, 1, 0, Vec::new());
-        rec.record_span(a, None, "a2", 0, 1, 0, Vec::new());
+        rec.record(event(a.as_u64(), 1, None, "a1", 0));
+        rec.record(event(b.as_u64(), 2, None, "b1", 0));
+        rec.record(event(a.as_u64(), 3, None, "a2", 0));
         let drained = rec.drain_trace(a);
         assert_eq!(drained.len(), 2);
         assert_eq!(rec.len(), 1);
@@ -840,7 +887,7 @@ mod tests {
         let rec = FlightRecorder::with_capacity(8);
         let t = rec.new_trace();
         for i in 1..=5u64 {
-            rec.record_span(t, None, format!("s{i}"), i, 1, 0, Vec::new());
+            rec.record(event(t.as_u64(), i, None, &format!("s{i}"), i));
         }
         let names: Vec<_> = rec.recent(2).into_iter().map(|e| e.name).collect();
         assert_eq!(names, ["s4", "s5"]);
@@ -897,6 +944,39 @@ mod tests {
     }
 
     #[test]
+    fn drop_records_into_the_histogram() {
+        let rec = FlightRecorder::new();
+        let h = Histogram::detached();
+        {
+            let mut work = rec.scope("work");
+            work.set_histogram(h.clone());
+            std::hint::black_box(());
+        }
+        assert_eq!(h.count(), 1);
+        assert_eq!(rec.len(), 1);
+    }
+
+    #[test]
+    fn stop_records_once() {
+        let rec = FlightRecorder::new();
+        let h = Histogram::detached();
+        let mut work = rec.scope("work");
+        work.set_histogram(h.clone());
+        let dur = work.finish(); // the drop inside `finish` must not double-record
+        assert_eq!(h.count(), 1);
+        assert_eq!(rec.len(), 1);
+        assert_eq!(h.snapshot().sum, dur.as_nanos() as u64);
+    }
+
+    #[test]
+    fn untracked_spans_need_no_histogram() {
+        let rec = FlightRecorder::new();
+        let phase = rec.scope("phase");
+        assert!(phase.finish() < Duration::from_secs(60));
+        assert_eq!(rec.len(), 1);
+    }
+
+    #[test]
     fn scope_in_roots_a_client_supplied_trace() {
         let rec = FlightRecorder::new();
         let t = TraceId::parse_hex("c0ffee").unwrap();
@@ -911,8 +991,8 @@ mod tests {
         let rec = FlightRecorder::with_capacity(1);
         let r = Registry::new();
         let t = rec.new_trace();
-        rec.record_span(t, None, "a", 0, 1, 0, Vec::new());
-        rec.record_span(t, None, "b", 0, 1, 0, Vec::new());
+        rec.record(event(t.as_u64(), 1, None, "a", 0));
+        rec.record(event(t.as_u64(), 2, None, "b", 0));
         rec.publish_metrics(&r);
         let snap = r.snapshot();
         assert_eq!(snap.counter("telemetry.trace.dropped"), Some(1));
@@ -921,28 +1001,15 @@ mod tests {
 
     #[test]
     fn chrome_trace_round_trips_a_realistic_tree() {
-        let rec = FlightRecorder::new();
-        let t = rec.new_trace();
-        let root = rec.record_span(
-            t,
-            None,
-            "job",
-            10,
-            1_000_000,
-            0,
-            vec![("n".into(), "8".into())],
-        );
-        rec.record_span(t, Some(root), "queue_wait", 10, 2_345, 0, Vec::new());
-        rec.record_span(
-            t,
-            Some(root),
-            "cache_lookup",
-            3_000,
-            999,
-            0,
-            vec![("outcome".into(), "miss".into())],
-        );
-        let spans = rec.spans_for(t);
+        let mut job = event(7, 1, None, "job", 10);
+        job.dur_ns = 1_000_000;
+        job.attrs.push(("n".into(), "8".into()));
+        let mut wait = event(7, 2, Some(1), "queue_wait", 10);
+        wait.dur_ns = 2_345;
+        let mut lookup = event(7, 3, Some(1), "cache_lookup", 3_000);
+        lookup.dur_ns = 999;
+        lookup.attrs.push(("outcome".into(), "miss".into()));
+        let spans = vec![job, wait, lookup];
         let json = to_chrome_trace(&spans, "icstar-serve");
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"process_name\""));

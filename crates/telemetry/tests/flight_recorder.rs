@@ -2,12 +2,13 @@
 //! span trees while other threads drain concurrently, and the ring's
 //! invariants must hold throughout — occupancy never exceeds capacity,
 //! every drained trace is well-parented, and nothing vanishes without
-//! being counted as dropped.
+//! being counted as dropped. Plus the scope's histogram binding: a
+//! latency sample and its span event are one measurement.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use icstar_telemetry::{FlightRecorder, SpanEvent, TraceId};
+use icstar_telemetry::{FlightRecorder, Histogram, SpanEvent, TraceId};
 
 /// Every span except the root must name a parent that is also present
 /// in the drained set (drains are coherent cuts over whole traces, and
@@ -111,8 +112,8 @@ fn eviction_under_pressure_counts_every_lost_span() {
             let rec = rec.clone();
             scope.spawn(move || {
                 let trace = rec.new_trace();
-                for i in 0..SPANS_PER_WRITER {
-                    rec.record_span(trace, None, "s", i as u64, 1, 0, Vec::new());
+                for _ in 0..SPANS_PER_WRITER {
+                    drop(rec.scope_in(trace, "s"));
                     assert!(rec.len() <= CAPACITY);
                 }
             });
@@ -125,4 +126,63 @@ fn eviction_under_pressure_counts_every_lost_span() {
         "retained + dropped = recorded"
     );
     assert_eq!(rec.len(), CAPACITY, "ring full after sustained pressure");
+}
+
+#[test]
+fn a_histogram_scope_records_one_sample_equal_to_its_span() {
+    let rec = FlightRecorder::new();
+    let h = Histogram::detached();
+    let trace;
+    {
+        let mut work = rec.scope("work");
+        work.set_histogram(h.clone());
+        trace = work.context().trace;
+        // An unbound scope records its event and touches no histogram.
+        drop(rec.scope("plain"));
+        std::hint::black_box(());
+    } // recorded here, once
+    assert_eq!(h.count(), 1);
+    let spans = rec.spans_for(trace);
+    assert_eq!(spans.len(), 2);
+    assert_eq!(spans[1].name, "work");
+    assert_eq!(h.snapshot().sum, spans[1].dur_ns);
+
+    // `finish` records exactly what drop would, returns the same
+    // duration, and leaves nothing for drop to record again.
+    let h = Histogram::detached();
+    let mut work = rec.scope("finished");
+    work.set_histogram(h.clone());
+    let trace = work.context().trace;
+    let dur = work.finish();
+    assert_eq!(h.count(), 1);
+    let spans = rec.spans_for(trace);
+    assert_eq!(spans.len(), 1);
+    assert_eq!(spans[0].dur_ns, dur.as_nanos() as u64);
+    assert_eq!(h.snapshot().sum, spans[0].dur_ns);
+
+    // A detached scope closed on another thread records the same way.
+    let h = Histogram::detached();
+    let mut moved = rec.scope_detached(trace, None, "moved");
+    moved.set_histogram(h.clone());
+    assert_eq!(
+        icstar_telemetry::current_context(),
+        None,
+        "detached: no nesting"
+    );
+    std::thread::spawn(move || drop(moved)).join().unwrap();
+    let moved = rec.spans_for(trace).pop().unwrap();
+    assert_eq!(moved.name, "moved");
+    assert_eq!(h.snapshot().sum, moved.dur_ns);
+}
+
+#[test]
+fn a_cancelled_scope_records_neither_sample_nor_event() {
+    let rec = FlightRecorder::new();
+    let h = Histogram::detached();
+    let mut doomed = rec.scope("doomed");
+    doomed.set_histogram(h.clone());
+    doomed.cancel();
+    assert_eq!(h.count(), 0);
+    assert!(rec.is_empty());
+    assert_eq!(icstar_telemetry::current_context(), None);
 }

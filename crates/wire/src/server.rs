@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use icstar_serve::{JobHandle, VerdictReport, VerifyService};
 use icstar_telemetry::{
-    to_text_tree, Counter, FlightRecorder, Gauge, Histogram, Registry, SpanEvent, SpanId, TraceId,
+    to_text_tree, Counter, FlightRecorder, Gauge, Histogram, Registry, TraceId, TraceScope,
 };
 
 use crate::text::{parse_job, print_report};
@@ -339,14 +339,12 @@ enum Mode {
     Command,
     /// Inside a `SUBMIT` frame: lines accumulate until the `.`
     /// terminator. Carries the parsed (or rejected) `trace` argument
-    /// and the command's start times, since the `cmd` metrics/span
-    /// cover the whole frame.
+    /// and the command's open `cmd` span, which covers the whole frame.
     Payload {
         trace: Result<Option<TraceId>, &'static str>,
         payload: Vec<u8>,
         oversized: bool,
-        started: Instant,
-        start_ns: u64,
+        cmd: TraceScope,
     },
 }
 
@@ -355,8 +353,7 @@ enum Mode {
 /// liveness poll upgrades the job's slot.
 struct Parked {
     id: u64,
-    started: Instant,
-    start_ns: u64,
+    cmd: TraceScope,
 }
 
 /// One connection's state machine: socket, reassembly buffer, bounded
@@ -377,10 +374,9 @@ struct Conn {
     /// Peer closed its write side: process what was buffered, flush,
     /// then close.
     eof: bool,
-    opened: Instant,
-    opened_ns: u64,
-    trace: TraceId,
-    root: SpanId,
+    /// The `conn` root span, recorded (with the connection's lifetime
+    /// into `wire.conn.lifetime_ns`) when the connection is dropped.
+    root: TraceScope,
     /// Chrome-trace lane: connection token truncated to `u32` so each
     /// connection's `cmd` spans render on their own lane.
     tid: u32,
@@ -510,7 +506,7 @@ fn event_loop(listener: TcpListener, completions: Receiver<u64>, shared: &Shared
         }
         for token in dead.drain(..) {
             if let Some(conn) = conns.remove(&token) {
-                close_conn(conn, shared, &recorder);
+                close_conn(conn, shared);
             }
         }
         m.loop_write_queue.set(queued as i64);
@@ -558,7 +554,7 @@ fn event_loop(listener: TcpListener, completions: Receiver<u64>, shared: &Shared
             conn.enqueue(b"ERR server shutting down\n");
         }
         let _ = conn.flush(&shared.metrics.bytes_written);
-        close_conn(conn, shared, &recorder);
+        close_conn(conn, shared);
     }
 }
 
@@ -578,6 +574,11 @@ fn open_conn(
     let m = &shared.metrics;
     m.conns_opened.inc();
     m.conns_active.inc();
+    let tid = token as u32;
+    // Detached: the connection outlives every loop tick's nesting.
+    let mut root = recorder.scope_detached(recorder.new_trace(), None, "conn");
+    root.set_tid(tid);
+    root.set_histogram(m.conn_lifetime_ns.clone());
     Ok(Conn {
         stream,
         read_buf: Vec::new(),
@@ -587,32 +588,27 @@ fn open_conn(
         parked: None,
         quitting: false,
         eof: false,
-        opened: Instant::now(),
-        opened_ns: recorder.now_ns(),
-        trace: recorder.new_trace(),
-        root: recorder.new_span_id(),
-        tid: token as u32,
+        root,
+        tid,
     })
 }
 
 /// Closes a connection however it ended (clean `QUIT`, hangup, flood,
 /// slow reader, shutdown): lifecycle metrics plus the `conn` root span
 /// that parents the connection's `cmd` spans.
-fn close_conn(conn: Conn, shared: &Shared, recorder: &FlightRecorder) {
+fn close_conn(conn: Conn, shared: &Shared) {
     let m = &shared.metrics;
-    m.conn_lifetime_ns.record_duration(conn.opened.elapsed());
     m.conns_active.dec();
     m.conns_closed.inc();
-    recorder.record(SpanEvent {
-        trace: conn.trace,
-        id: conn.root,
-        parent: None,
-        name: "conn".into(),
-        start_ns: conn.opened_ns,
-        dur_ns: recorder.now_ns().saturating_sub(conn.opened_ns),
-        tid: conn.tid,
-        attrs: Vec::new(),
-    });
+    // A command cut off mid-frame or while parked was never answered:
+    // it records no `cmd` span and no latency sample.
+    if let Some(parked) = conn.parked {
+        parked.cmd.cancel();
+    }
+    if let Mode::Payload { cmd, .. } = conn.mode {
+        cmd.cancel();
+    }
+    drop(conn.root);
 }
 
 /// Advances one connection as far as it can go without blocking:
@@ -622,7 +618,7 @@ fn close_conn(conn: Conn, shared: &Shared, recorder: &FlightRecorder) {
 fn step_conn(conn: &mut Conn, shared: &Shared, recorder: &FlightRecorder) -> (bool, bool) {
     let m = &shared.metrics;
     let mut work = false;
-    if conn.parked.is_some() && poll_parked(conn, shared, recorder) {
+    if conn.parked.is_some() && poll_parked(conn, shared) {
         work = true;
     }
     match conn.flush(&m.bytes_written) {
@@ -657,7 +653,7 @@ fn step_conn(conn: &mut Conn, shared: &Shared, recorder: &FlightRecorder) -> (bo
         pos = end;
         match conn.mode {
             Mode::Command => handle_command(conn, &line, shared, recorder),
-            Mode::Payload { .. } => handle_payload_line(conn, &line, shared, recorder),
+            Mode::Payload { .. } => handle_payload_line(conn, &line, shared),
         }
         work = true;
     }
@@ -690,28 +686,19 @@ fn step_conn(conn: &mut Conn, shared: &Shared, recorder: &FlightRecorder) -> (bo
     (work, false)
 }
 
-/// Records a command's latency histogram entry and its `cmd` span
-/// (child of the connection root; client-chosen strings must not flow
-/// into span attributes any more than into metric names — unknown
-/// verbs share one label).
-fn finish_cmd(
-    conn: &Conn,
-    shared: &Shared,
-    recorder: &FlightRecorder,
-    verb: &str,
-    started: Instant,
-    start_ns: u64,
-) {
-    shared.metrics.cmd_ns.record_duration(started.elapsed());
-    recorder.record_span(
-        conn.trace,
-        Some(conn.root),
-        "cmd",
-        start_ns,
-        recorder.now_ns().saturating_sub(start_ns),
-        conn.tid,
-        vec![("verb".into(), verb.into())],
-    );
+/// Opens a command's `cmd` span: a child of the connection root that
+/// records, with its latency into `wire.cmd_ns`, when the response is
+/// enqueued (client-chosen strings must not flow into span attributes
+/// any more than into metric names — unknown verbs share one label).
+/// Detached, since a `SUBMIT` frame or a parked `RESULT` carries it
+/// across loop ticks.
+fn open_cmd(conn: &Conn, shared: &Shared, recorder: &FlightRecorder, verb: &str) -> TraceScope {
+    let root = conn.root.context();
+    let mut cmd = recorder.scope_detached(root.trace, Some(root.span), "cmd");
+    cmd.set_tid(conn.tid);
+    cmd.attr("verb", verb);
+    cmd.set_histogram(shared.metrics.cmd_ns.clone());
+    cmd
 }
 
 /// Dispatches one command line. Responses are enqueued (never written
@@ -746,9 +733,7 @@ fn handle_command(conn: &mut Conn, raw: &[u8], shared: &Shared, recorder: &Fligh
         _ => &m.cmd_unknown,
     }
     .inc();
-    let started = Instant::now();
-    let start_ns = recorder.now_ns();
-    let label = if known { verb } else { "unknown" };
+    let cmd = open_cmd(conn, shared, recorder, if known { verb } else { "unknown" });
     match verb {
         "PING" => conn.enqueue(b"OK pong\n"),
         "QUIT" => {
@@ -771,8 +756,7 @@ fn handle_command(conn: &mut Conn, raw: &[u8], shared: &Shared, recorder: &Fligh
                 trace,
                 payload: Vec::new(),
                 oversized: false,
-                started,
-                start_ns,
+                cmd,
             };
             return; // recorded when the frame completes
         }
@@ -784,11 +768,7 @@ fn handle_command(conn: &mut Conn, raw: &[u8], shared: &Shared, recorder: &Fligh
             ResultAnswer::Line(answer) => conn.enqueue(answer.as_bytes()),
             ResultAnswer::Report(report) => enqueue_report(conn, &report),
             ResultAnswer::Park(id) => {
-                conn.parked = Some(Parked {
-                    id,
-                    started,
-                    start_ns,
-                });
+                conn.parked = Some(Parked { id, cmd });
                 return; // recorded when the job completes
             }
         },
@@ -813,15 +793,15 @@ fn handle_command(conn: &mut Conn, raw: &[u8], shared: &Shared, recorder: &Fligh
             conn.enqueue(answer.as_bytes());
         }
     }
-    finish_cmd(conn, shared, recorder, label, started, start_ns);
+    drop(cmd);
 }
 
 /// Accumulates one `SUBMIT` payload line (bytes, newline included) or,
 /// on the `.` terminator, completes the frame.
-fn handle_payload_line(conn: &mut Conn, raw: &[u8], shared: &Shared, recorder: &FlightRecorder) {
+fn handle_payload_line(conn: &mut Conn, raw: &[u8], shared: &Shared) {
     if is_terminator(raw) {
         let mode = std::mem::replace(&mut conn.mode, Mode::Command);
-        finish_submit(conn, mode, shared, recorder);
+        finish_submit(conn, mode, shared);
         return;
     }
     let Mode::Payload {
@@ -844,13 +824,12 @@ fn handle_payload_line(conn: &mut Conn, raw: &[u8], shared: &Shared, recorder: &
 /// Finishes a `SUBMIT` frame: answers the oversize/argument/parse
 /// errors in the pinned order, or enqueues the job on the service and
 /// registers its handle.
-fn finish_submit(conn: &mut Conn, mode: Mode, shared: &Shared, recorder: &FlightRecorder) {
+fn finish_submit(conn: &mut Conn, mode: Mode, shared: &Shared) {
     let Mode::Payload {
         trace,
         payload,
         oversized,
-        started,
-        start_ns,
+        cmd,
     } = mode
     else {
         unreachable!("finishing a submit outside payload mode");
@@ -887,7 +866,7 @@ fn finish_submit(conn: &mut Conn, mode: Mode, shared: &Shared, recorder: &Flight
         }
     };
     conn.enqueue(answer.as_bytes());
-    finish_cmd(conn, shared, recorder, "SUBMIT", started, start_ns);
+    drop(cmd);
 }
 
 /// Whether a payload line is the `.` frame terminator.
@@ -1015,7 +994,7 @@ fn enqueue_report(conn: &mut Conn, report: &VerdictReport) {
 /// completion channel makes the interesting tick happen immediately,
 /// and the per-tick poll doubles as the safety net (e.g. a completion
 /// sent before this connection parked). Returns whether it answered.
-fn poll_parked(conn: &mut Conn, shared: &Shared, recorder: &FlightRecorder) -> bool {
+fn poll_parked(conn: &mut Conn, shared: &Shared) -> bool {
     let Some(parked) = &conn.parked else {
         return false;
     };
@@ -1048,14 +1027,7 @@ fn poll_parked(conn: &mut Conn, shared: &Shared, recorder: &FlightRecorder) -> b
         Outcome::Report(report) => enqueue_report(conn, &report),
         Outcome::Line(line) => conn.enqueue(line.as_bytes()),
     }
-    finish_cmd(
-        conn,
-        shared,
-        recorder,
-        "RESULT",
-        parked.started,
-        parked.start_ns,
-    );
+    drop(parked.cmd);
     true
 }
 

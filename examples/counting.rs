@@ -3,11 +3,10 @@
 //!
 //! Run with `cargo run --example counting`.
 
+use icstar::icstar_sym::{GuardedTemplate, SymEngine};
 use icstar::{check_restricted, quantifier_depth, IndexedChecker};
-#[allow(deprecated)] // the brute-force sweep is this demo's subject
-use icstar_nets::{check_conjecture, counting_formula, fig41_template, interleave};
+use icstar_nets::{counting_formula, fig41_template, interleave};
 
-#[allow(deprecated)]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = fig41_template();
 
@@ -44,13 +43,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  (f_k holds iff n >= k: a closed formula that measures the system size!)");
 
     println!("\n== Section 6 conjecture: depth-k formulas cannot distinguish n > k ==");
+    let engine = SymEngine::new(GuardedTemplate::free(t));
     for k in 1..=3usize {
-        let f = counting_formula(k);
-        let out = check_conjecture(&t, &f, (k as u32) + 3)?;
-        println!(
-            "  f_{k}: sizes {:?} all agree: {} (values {:?})",
-            out.sizes, out.consistent, out.values
-        );
+        match engine.certify_cutoff(&counting_formula(k)) {
+            Ok(cert) => println!(
+                "  f_{k}: certified: holds = {} for every n >= {}",
+                cert.holds, cert.c
+            ),
+            Err(refusal) => println!("  f_{k}: no certificate: {refusal}"),
+        }
     }
     Ok(())
 }

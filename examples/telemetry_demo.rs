@@ -12,21 +12,18 @@
 //! 2. **Wire** — the same registry is fetched over a real TCP socket via
 //!    the `METRICS` command and parsed back from the Prometheus text
 //!    exposition; the wire view must agree with the in-process one.
-//! 3. **Trace** — when `ICSTAR_TRACE=<path>` is set in the environment,
-//!    the demo points the service registry's trace sink at that path
-//!    (`Registry::set_trace_sink` — sinks are per-registry; the env var
-//!    alone seeds only `Registry::global()`), so every span additionally
-//!    lands in that JSON-lines file.
+//! 3. **Trace** — each job's causal span tree is read back from the
+//!    service's flight recorder (`spans_for` on the job's trace id, what
+//!    the wire `TRACE <id> [chrome]` command serves); the `check` spans'
+//!    own durations must be exactly what `serve.job.check_ns` recorded.
 //!
 //! Run with: `cargo run --release --example telemetry_demo`
-//! (optionally `ICSTAR_TRACE=/tmp/icstar-trace.jsonl` to watch spans).
 
 use std::time::Instant;
 
 use icstar::{ServeConfig, VerifyJob, VerifyService};
 use icstar_logic::parse_state;
 use icstar_sym::mutex_template;
-use icstar_telemetry::TRACE_ENV;
 use icstar_wire::{WireClient, WireServer};
 
 const BIG: u32 = 100_000;
@@ -36,14 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Phase 1: a large job, metered at every layer ----
     let config = ServeConfig::default();
-    // Trace sinks are per-registry; the env var only seeds the global
-    // registry, so wire it to this service's fresh registry explicitly.
-    let tracing = if let Ok(path) = std::env::var(TRACE_ENV) {
-        config.telemetry.set_trace_sink(&path)?;
-        Some(path)
-    } else {
-        None
-    };
+    let recorder = config.recorder.clone();
     let service = VerifyService::start(config);
     let job = VerifyJob::new(mutex_template())
         .at_size(BIG)
@@ -52,12 +42,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "access possibility",
             parse_state("forall i. AG(try[i] -> EF crit[i])")?,
         );
-    let started = Instant::now();
-    assert!(service.submit(job.clone()).wait()?.all_hold());
-    println!("job 1 (cold): verified in {:.2?}", started.elapsed());
-    let started = Instant::now();
-    assert!(service.submit(job).wait()?.all_hold());
-    println!("job 2 (cached): verified in {:.2?}\n", started.elapsed());
+    let mut traces = Vec::new();
+    for (label, job) in [("job 1 (cold)", job.clone()), ("job 2 (cached)", job)] {
+        let started = Instant::now();
+        let handle = service.submit(job);
+        traces.push(handle.trace);
+        assert!(handle.wait()?.all_hold());
+        println!("{label}: verified in {:.2?}", started.elapsed());
+    }
+    println!();
 
     let snap = service.telemetry_snapshot();
     let states = snap.counter("sym.explore.states").expect("explore states");
@@ -114,19 +107,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     client.quit()?;
     server.shutdown();
 
-    // ---- Phase 3: span tracing, if requested ----
-    if let Some(path) = tracing {
-        let log = std::fs::read_to_string(&path)?;
-        let events = log.lines().count();
-        assert!(events > 0, "enabled tracing must have recorded spans");
-        assert!(
-            log.lines().all(|l| l.starts_with("{\"span\":\"")),
-            "every trace line is a span event"
-        );
-        println!("trace: {events} span events appended to {path}");
-    } else {
-        println!("trace: off (set ICSTAR_TRACE=<path> to record span events)");
+    // ---- Phase 3: the jobs' span trees, from the flight recorder ----
+    let mut spans = 0;
+    let mut check_spans_ns = 0;
+    for trace in traces {
+        let tree = recorder.spans_for(trace);
+        assert!(!tree.is_empty(), "every job records its span tree");
+        spans += tree.len();
+        check_spans_ns += tree
+            .iter()
+            .filter(|s| s.name == "check")
+            .map(|s| s.dur_ns)
+            .sum::<u64>();
     }
+    let check = snap.histogram("serve.job.check_ns").expect("check");
+    assert!(check_spans_ns > 0, "the jobs were checked");
+    assert_eq!(
+        check.sum, check_spans_ns,
+        "serve.job.check_ns records the check spans' own durations"
+    );
+    println!(
+        "trace: {spans} spans across 2 jobs; their check spans account for \
+         serve.job.check_ns exactly (TRACE <id> chrome serves them)"
+    );
     println!("\ndone: every layer metered, exported, and verified at n = {BIG}.");
     Ok(())
 }

@@ -9,9 +9,9 @@
 //! explicit [`IndexedChecker`] on the full `n`-copy composition — i.e.
 //! the quantifiers range over **all index tuples**, equal and distinct
 //! alike. The oracles are the explicit `interleave`/`guarded_interleave`
-//! compositions at `n ≤ 4`, random templates included, plus the Section 6
-//! conjecture harness (`icstar_nets::free::check_conjecture`) on both
-//! built-in free families.
+//! compositions at `n ≤ 4`, random templates included, plus explicit
+//! Section 6 sweeps (free products up to `n = 6`) on both built-in free
+//! families.
 
 use icstar::icstar_sym::arb::{
     random_guarded_template, random_nested_formula, RandomGuardedConfig, RandomNestedConfig,
@@ -20,10 +20,7 @@ use icstar::icstar_sym::{guarded_interleave, GuardedTemplate, SymEngine};
 use icstar::{FamilyVerifier, IndexedChecker};
 use icstar_logic::{parse_state, restricted_depth};
 use icstar_nets::free::cyclic_template;
-#[allow(deprecated)] // the deprecated sweep serves as the oracle here
-use icstar_nets::{
-    check_conjecture, fig41_template, interleave, random_template, RandomTemplateConfig,
-};
+use icstar_nets::{fig41_template, interleave, random_template, RandomTemplateConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -193,13 +190,12 @@ fn mutex_and_msi_depth2_verify_at_scale_with_width_reported() {
 }
 
 #[test]
-#[allow(deprecated)]
 fn conjecture_values_at_depth_two_agree_with_krep_backend() {
-    // The Section 6 harness as an oracle for the k-rep semantics: on the
+    // The Section 6 sweep as an oracle for the k-rep semantics: on the
     // two built-in free families, depth-2 restricted formulas evaluated
-    // by `check_conjecture` (explicit products, IndexedChecker) must
-    // match the counter backend at every swept size — and stay constant
-    // beyond the depth, as the conjecture predicts.
+    // on explicit products by the IndexedChecker must match the counter
+    // backend at every size 3..=6 — and stay constant beyond the depth,
+    // as the conjecture predicts.
     let fig41 = fig41_template();
     let cyclic = cyclic_template();
     let cases: &[(&icstar_nets::ProcessTemplate, &str)] = &[
@@ -216,15 +212,17 @@ fn conjecture_values_at_depth_two_agree_with_krep_backend() {
     for (t, src) in cases {
         let f = parse_state(src).unwrap();
         assert_eq!(restricted_depth(&f), Ok(2), "{src}");
-        let out = check_conjecture(t, &f, 6).unwrap();
-        assert_eq!(out.depth, 2, "{src}");
+        let sizes = 3..=6u32;
+        let values: Vec<bool> = sizes
+            .clone()
+            .map(|n| IndexedChecker::new(&interleave(t, n)).holds(&f).unwrap())
+            .collect();
         assert!(
-            out.consistent,
-            "{src}: conjecture sweep not constant: {:?}",
-            out.values
+            values.windows(2).all(|w| w[0] == w[1]),
+            "{src}: conjecture sweep not constant: {values:?}"
         );
         let engine = SymEngine::new(GuardedTemplate::free((*t).clone()));
-        for (&n, &explicit_value) in out.sizes.iter().zip(&out.values) {
+        for (n, &explicit_value) in sizes.zip(&values) {
             let run = engine.session(n).check_described(&f).unwrap();
             assert_eq!(
                 run.holds, explicit_value,

@@ -5,8 +5,10 @@
 //! explicit free product whose cost doubles per process.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use icstar::icstar_sym::fairness::{counter_fairness, rep_fairness};
 use icstar::icstar_sym::{
-    barrier_template, mutex_template, CounterSystem, CountingSpec, GuardedTemplate, SymEngine,
+    barrier_template, mutex_template, representative_with_states, CounterSystem, CountingSpec,
+    GuardedTemplate, SymEngine,
 };
 use icstar::parse_state;
 use icstar_nets::{fig41_template, interleave};
@@ -128,6 +130,13 @@ fn bench_representative_width(c: &mut Criterion) {
     group.finish();
 }
 
+/// The barrier's weakly fair variant: two groups over broadcasts.
+fn fair_barrier() -> GuardedTemplate {
+    barrier_template()
+        .with_fairness("arrive", [(0, 1), (2, 3)])
+        .with_fairness("release", [(1, 2), (3, 0)])
+}
+
 fn bench_fair_check(c: &mut Criterion) {
     // The fair-fragment route: weak-fairness groups compiled onto the
     // occupancy structures and discharged by the counter-fair checker.
@@ -141,11 +150,7 @@ fn bench_fair_check(c: &mut Criterion) {
     // check alone.
     let mut group = c.benchmark_group("sym/fair-check");
     group.sample_size(10);
-    let engine = SymEngine::new(
-        barrier_template()
-            .with_fairness("arrive", [(0, 1), (2, 3)])
-            .with_fairness("release", [(1, 2), (3, 0)]),
-    );
+    let engine = SymEngine::new(fair_barrier());
     let counting = parse_state("AG AF phase1_ge1").unwrap();
     let indexed = parse_state("forall i. AG AF phase1[i]").unwrap();
     for n in [1_000u32, 10_000] {
@@ -162,6 +167,32 @@ fn bench_fair_check(c: &mut Criterion) {
             group.bench_with_input(id, f, |b, f| b.iter(|| assert!(warm.check(f).unwrap())));
         }
     }
+    group.finish();
+}
+
+fn bench_build_layers(c: &mut Criterion) {
+    // One build layer per id, its inputs built once outside the samples.
+    // `fairness/*` compiles the fair barrier's groups onto state vectors
+    // already explored: `counter_fairness` over the counter structure's,
+    // `rep_fairness` over the width-1 representative's.
+    let mut group = c.benchmark_group("sym/build-layers");
+    group.sample_size(10);
+    let t = fair_barrier();
+    let spec = CountingSpec::standard(&t);
+    let n = 10_000u32;
+    let sys = CounterSystem::new(t, n);
+    let (_, states) = sys.kripke_with_states(&spec);
+    group.bench_with_input(
+        BenchmarkId::new("fairness/counter", n),
+        &states,
+        |b, states| b.iter(|| counter_fairness(&sys, states)),
+    );
+    let (_, states) = representative_with_states(&sys, &spec, 1).unwrap();
+    group.bench_with_input(
+        BenchmarkId::new("fairness/rep-w1", n),
+        &states,
+        |b, states| b.iter(|| rep_fairness(&sys, states)),
+    );
     group.finish();
 }
 
@@ -248,6 +279,7 @@ criterion_group!(
     bench_mutex_verification,
     bench_representative_width,
     bench_fair_check,
+    bench_build_layers,
     bench_cross_check,
     bench_cutoff_detect,
     bench_cutoff_answer

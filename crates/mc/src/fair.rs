@@ -4,30 +4,27 @@
 //! The paper's token ring needs no fairness (token transfers are forced),
 //! but most request/grant protocols do: without it, `AF served` fails on
 //! the path where the scheduler ignores a client forever. This module
-//! restricts path quantifiers to *fair* paths — those visiting every
-//! fairness set infinitely often — via the standard fair-SCC
-//! construction:
+//! restricts path quantifiers to *fair* paths.
+//!
+//! A fairness constraint is a [`TransFairness`]: a conjunction of
+//! [`FairReq`]s, each met by a path iff infinitely often it is in one of
+//! the requirement's *states* **or** traverses one of its *edges*. With
+//! no edges a requirement is classic state-set fairness ("visit this set
+//! infinitely often"); the edges express **weak (action) fairness** —
+//! "while a move group stays enabled, some move of the group is
+//! eventually taken" — since "taken" is a property of a *transition*:
+//! the states are where the group is released (no move of it enabled),
+//! the edges the transitions taking one. The operators use the standard
+//! fair-SCC construction:
 //!
 //! * [`fair_states`] — states from which some fair path starts
-//!   (`E_fair G true`): backward closure of non-trivial SCCs intersecting
-//!   every fairness set;
+//!   (`E_fair G true`): backward closure of non-trivial SCCs that, for
+//!   every requirement, contain a released state or an internal
+//!   requirement edge;
 //! * [`eg_fair`] — `E_fair G f`: the same computation inside `f`;
 //! * [`eu_fair`], [`ex_fair`] — reduce to the plain operators against
 //!   `fair ∧ goal`;
 //! * universal operators by duality (`AF_fair f = ¬E_fair G ¬f`).
-//!
-//! State-set fairness cannot express **weak (action) fairness** — "while
-//! a move group stays enabled, some move of the group is eventually
-//! taken" — because "taken" is a property of a *transition*, not of a
-//! state. [`TransFairness`] generalizes each constraint to a
-//! [`FairReq`]: a path meets it iff infinitely often it is in one of the
-//! requirement's *states* (the constraint is released there, e.g. no
-//! move of the group is enabled) **or** traverses one of its *edges* (a
-//! move of the group is taken). The fair-SCC computation carries over
-//! verbatim: an SCC qualifies for a requirement iff it contains a
-//! released state or an internal requirement edge. State-set
-//! [`Fairness`] is the `edges = ∅` special case, and the state-set
-//! entry points delegate to the transition-based ones.
 //!
 //! [`FairChecker`] closes the loop for formula-level checking: a cached
 //! recursive evaluator for CTL-shaped formulas whose path quantifiers
@@ -44,46 +41,6 @@ use icstar_logic::{collapse_states, IndexTerm, PathFormula, StateFormula};
 
 use crate::ctl;
 use crate::error::McError;
-
-/// A set of fairness constraints: a path is fair iff it visits **every**
-/// constraint set infinitely often (unconditional/impartial fairness).
-#[derive(Clone, Debug, Default)]
-pub struct Fairness {
-    sets: Vec<BitSet>,
-}
-
-impl Fairness {
-    /// No constraints: every path is fair.
-    pub fn unconstrained() -> Self {
-        Fairness::default()
-    }
-
-    /// Builds constraints from state sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a set's capacity does not match between constraints.
-    pub fn new(sets: impl IntoIterator<Item = BitSet>) -> Self {
-        let sets: Vec<BitSet> = sets.into_iter().collect();
-        if let Some(first) = sets.first() {
-            assert!(
-                sets.iter().all(|s| s.capacity() == first.capacity()),
-                "fairness sets must share a capacity"
-            );
-        }
-        Fairness { sets }
-    }
-
-    /// The constraint sets.
-    pub fn sets(&self) -> &[BitSet] {
-        &self.sets
-    }
-
-    /// Whether there are no constraints.
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-}
 
 /// One transition-based fairness requirement: a path meets it iff
 /// infinitely often it visits one of `states` **or** traverses one of
@@ -126,8 +83,6 @@ impl FairReq {
 
 /// A conjunction of transition-based fairness requirements
 /// ([`FairReq`]): a path is fair iff it meets **every** requirement.
-/// [`Fairness`] embeds as the `edges = ∅` case
-/// ([`TransFairness::from_state_sets`]).
 #[derive(Clone, Debug, Default)]
 pub struct TransFairness {
     reqs: Vec<FairReq>,
@@ -156,18 +111,6 @@ impl TransFairness {
         TransFairness { reqs }
     }
 
-    /// The state-set constraint as a transition constraint (each set
-    /// becomes a requirement with no edges).
-    pub fn from_state_sets(fair: &Fairness) -> Self {
-        TransFairness {
-            reqs: fair
-                .sets()
-                .iter()
-                .map(|set| FairReq::new(set.clone(), []))
-                .collect(),
-        }
-    }
-
     /// The requirements.
     pub fn reqs(&self) -> &[FairReq] {
         &self.reqs
@@ -179,26 +122,14 @@ impl TransFairness {
     }
 }
 
-/// `E_fair G f`: states with a fair path staying in `f` forever.
+/// `E_fair G f`: states with a path staying in `f` forever that meets
+/// every [`FairReq`] infinitely often.
 ///
-/// Computation: restrict to `f`; a fair cycle exists through the states of
-/// a non-trivial SCC of the restriction that intersects every fairness
-/// set; take backward `f`-closure.
-pub fn eg_fair(m: &Kripke, f: &BitSet, fair: &Fairness) -> BitSet {
-    if fair.is_empty() {
-        return ctl::eg(m, f);
-    }
-    eg_fair_trans(m, f, &TransFairness::from_state_sets(fair))
-}
-
-/// `E_fair G f` under transition-based fairness: states with a path
-/// staying in `f` forever that meets every [`FairReq`] infinitely often.
-///
-/// Computation mirrors [`eg_fair`]: restrict to `f`; an SCC of the
-/// restriction hosts a fair cycle iff it is non-trivial and, for every
-/// requirement, contains a released state or an internal requirement
-/// edge; take backward `f`-closure; iterate to stability.
-pub fn eg_fair_trans(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+/// Computation: restrict to `f`; an SCC of the restriction hosts a fair
+/// cycle iff it is non-trivial and, for every requirement, contains a
+/// released state or an internal requirement edge; take backward
+/// `f`-closure; iterate to stability.
+pub fn eg_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
     if fair.is_empty() {
         return ctl::eg(m, f);
     }
@@ -278,64 +209,39 @@ pub fn eg_fair_trans(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
 }
 
 /// The states from which some fair path starts (`E_fair G true`).
-pub fn fair_states(m: &Kripke, fair: &Fairness) -> BitSet {
+pub fn fair_states(m: &Kripke, fair: &TransFairness) -> BitSet {
     eg_fair(m, &ctl::full_set(m), fair)
-}
-
-/// The states from which some transition-fair path starts.
-pub fn fair_states_trans(m: &Kripke, fair: &TransFairness) -> BitSet {
-    eg_fair_trans(m, &ctl::full_set(m), fair)
 }
 
 /// `E_fair[f U g]`: a fair path satisfying the until. Equals
 /// `E[f U (g ∧ fair)]` where `fair` marks fair-path starts.
-pub fn eu_fair(m: &Kripke, f: &BitSet, g: &BitSet, fair: &Fairness) -> BitSet {
-    eu_fair_trans(m, f, g, &TransFairness::from_state_sets(fair))
-}
-
-/// `E_fair[f U g]` under transition-based fairness.
-pub fn eu_fair_trans(m: &Kripke, f: &BitSet, g: &BitSet, fair: &TransFairness) -> BitSet {
+pub fn eu_fair(m: &Kripke, f: &BitSet, g: &BitSet, fair: &TransFairness) -> BitSet {
     let mut target = g.clone();
-    target.intersect_with(&fair_states_trans(m, fair));
+    target.intersect_with(&fair_states(m, fair));
     ctl::eu(m, f, &target)
 }
 
 /// `EX_fair f`: some successor starting a fair path satisfies `f`.
-pub fn ex_fair(m: &Kripke, f: &BitSet, fair: &Fairness) -> BitSet {
-    ex_fair_trans(m, f, &TransFairness::from_state_sets(fair))
-}
-
-/// `EX_fair f` under transition-based fairness.
-pub fn ex_fair_trans(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+pub fn ex_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
     let mut target = f.clone();
-    target.intersect_with(&fair_states_trans(m, fair));
+    target.intersect_with(&fair_states(m, fair));
     ctl::pre_exists(m, &target)
 }
 
 /// `AF_fair f = ¬E_fair G ¬f`: on every fair path, eventually `f`.
-pub fn af_fair(m: &Kripke, f: &BitSet, fair: &Fairness) -> BitSet {
-    af_fair_trans(m, f, &TransFairness::from_state_sets(fair))
-}
-
-/// `AF_fair f` under transition-based fairness.
-pub fn af_fair_trans(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+pub fn af_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
     let mut nf = f.clone();
     nf.complement();
-    let mut bad = eg_fair_trans(m, &nf, fair);
+    let mut bad = eg_fair(m, &nf, fair);
     bad.complement();
     bad
 }
 
 /// `AG_fair f = ¬E_fair[true U ¬f]`: along every fair path, globally `f`.
-pub fn ag_fair(m: &Kripke, f: &BitSet, fair: &Fairness) -> BitSet {
-    ag_fair_trans(m, f, &TransFairness::from_state_sets(fair))
-}
-
-/// `AG_fair f` under transition-based fairness.
-pub fn ag_fair_trans(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+pub fn ag_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
     let mut nf = f.clone();
     nf.complement();
-    let mut bad = eu_fair_trans(m, &ctl::full_set(m), &nf, fair);
+    let mut bad = eu_fair(m, &ctl::full_set(m), &nf, fair);
     bad.complement();
     bad
 }
@@ -447,7 +353,7 @@ impl<'a> FairChecker<'a> {
     /// `E_fair G true`, cached.
     fn fair_start(&mut self) -> BitSet {
         if self.fair_start.is_none() {
-            self.fair_start = Some(fair_states_trans(self.m, self.fair));
+            self.fair_start = Some(fair_states(self.m, self.fair));
         }
         self.fair_start.clone().expect("just computed")
     }
@@ -556,7 +462,7 @@ impl<'a> FairChecker<'a> {
                 if let (State(f), State(g)) = (&**a, &**b) {
                     let sf = (*self.sat(f)?).clone();
                     let sg = (*self.sat(g)?).clone();
-                    return Ok(eu_fair_trans(self.m, &sf, &sg, self.fair));
+                    return Ok(eu_fair(self.m, &sf, &sg, self.fair));
                 }
                 Err(self.not_ctl(&p))
             }
@@ -567,8 +473,8 @@ impl<'a> FairChecker<'a> {
                     let sg = (*self.sat(g)?).clone();
                     let mut fg = (*sf).clone();
                     fg.intersect_with(&sg);
-                    let mut out = eu_fair_trans(self.m, &sg, &fg, self.fair);
-                    out.union_with(&eg_fair_trans(self.m, &sg, self.fair));
+                    let mut out = eu_fair(self.m, &sg, &fg, self.fair);
+                    out.union_with(&eg_fair(self.m, &sg, self.fair));
                     return Ok(out);
                 }
                 Err(self.not_ctl(&p))
@@ -576,26 +482,21 @@ impl<'a> FairChecker<'a> {
             Eventually(g) => {
                 if let State(f) = &**g {
                     let sf = (*self.sat(f)?).clone();
-                    return Ok(eu_fair_trans(
-                        self.m,
-                        &ctl::full_set(self.m),
-                        &sf,
-                        self.fair,
-                    ));
+                    return Ok(eu_fair(self.m, &ctl::full_set(self.m), &sf, self.fair));
                 }
                 Err(self.not_ctl(&p))
             }
             Globally(g) => {
                 if let State(f) = &**g {
                     let sf = (*self.sat(f)?).clone();
-                    return Ok(eg_fair_trans(self.m, &sf, self.fair));
+                    return Ok(eg_fair(self.m, &sf, self.fair));
                 }
                 Err(self.not_ctl(&p))
             }
             Next(g) => {
                 if let State(f) = &**g {
                     let sf = (*self.sat(f)?).clone();
-                    return Ok(ex_fair_trans(self.m, &sf, self.fair));
+                    return Ok(ex_fair(self.m, &sf, self.fair));
                 }
                 Err(self.not_ctl(&p))
             }
@@ -623,8 +524,8 @@ impl<'a> FairChecker<'a> {
                     let ng = (*self.sat(&(**g).clone().not())?).clone();
                     let mut nfng = nf.clone();
                     nfng.intersect_with(&ng);
-                    let mut bad = eu_fair_trans(self.m, &ng, &nfng, self.fair);
-                    bad.union_with(&eg_fair_trans(self.m, &ng, self.fair));
+                    let mut bad = eu_fair(self.m, &ng, &nfng, self.fair);
+                    bad.union_with(&eg_fair(self.m, &ng, self.fair));
                     bad.complement();
                     return Ok(bad);
                 }
@@ -636,7 +537,7 @@ impl<'a> FairChecker<'a> {
                     let nf = (*self.sat(&(**f).clone().not())?).clone();
                     let ng = (*self.sat(&(**g).clone().not())?).clone();
                     return Ok({
-                        let mut bad = eu_fair_trans(self.m, &nf, &ng, self.fair);
+                        let mut bad = eu_fair(self.m, &nf, &ng, self.fair);
                         bad.complement();
                         bad
                     });
@@ -646,14 +547,14 @@ impl<'a> FairChecker<'a> {
             Eventually(g) => {
                 if let State(f) = &**g {
                     let sf = (*self.sat(f)?).clone();
-                    return Ok(af_fair_trans(self.m, &sf, self.fair));
+                    return Ok(af_fair(self.m, &sf, self.fair));
                 }
                 Err(self.not_ctl(&p))
             }
             Globally(g) => {
                 if let State(f) = &**g {
                     let sf = (*self.sat(f)?).clone();
-                    return Ok(ag_fair_trans(self.m, &sf, self.fair));
+                    return Ok(ag_fair(self.m, &sf, self.fair));
                 }
                 Err(self.not_ctl(&p))
             }
@@ -661,7 +562,7 @@ impl<'a> FairChecker<'a> {
             Next(g) => {
                 if let State(f) = &**g {
                     let nf = (*self.sat(&(**f).clone().not())?).clone();
-                    let mut bad = ex_fair_trans(self.m, &nf, self.fair);
+                    let mut bad = ex_fair(self.m, &nf, self.fair);
                     bad.complement();
                     return Ok(bad);
                 }
@@ -768,7 +669,7 @@ mod tests {
     #[test]
     fn unconstrained_fairness_is_plain_ctl() {
         let (m, g1, _) = scheduler();
-        let fair = Fairness::unconstrained();
+        let fair = TransFairness::unconstrained();
         assert_eq!(af_fair(&m, &g1, &fair), {
             let mut n = ctl::eg(&m, &{
                 let mut c = g1.clone();
@@ -795,7 +696,7 @@ mod tests {
         assert!(!plain_af_g2.contains(0));
         // Under the fairness constraint "serve 2 infinitely often", AF g2
         // holds everywhere.
-        let fair = Fairness::new([g2.clone()]);
+        let fair = TransFairness::new([FairReq::new(g2.clone(), [])]);
         let fair_af = af_fair(&m, &g2, &fair);
         assert!(fair_af.contains(0));
         assert!(fair_af.contains(1));
@@ -813,7 +714,7 @@ mod tests {
     fn multiple_constraints_intersect() {
         let (m, g1, g2) = scheduler();
         // Fair = serve 1 AND serve 2 infinitely often: both livenesses.
-        let fair = Fairness::new([g1.clone(), g2.clone()]);
+        let fair = TransFairness::new([FairReq::new(g1.clone(), []), FairReq::new(g2.clone(), [])]);
         assert!(af_fair(&m, &g1, &fair).contains(0));
         assert!(af_fair(&m, &g2, &fair).contains(0));
         // Fair states: the whole (strongly connected) graph.
@@ -824,7 +725,7 @@ mod tests {
     fn unsatisfiable_fairness_empties_everything() {
         let (m, _, _) = scheduler();
         // Constraint set empty: no path can visit it infinitely often.
-        let fair = Fairness::new([BitSet::new(3)]);
+        let fair = TransFairness::new([FairReq::new(BitSet::new(3), [])]);
         assert!(fair_states(&m, &fair).is_empty());
         let goal = BitSet::from_iter_with_capacity(3, [0usize]);
         // E_fair[true U goal] is empty too (no fair continuation).
@@ -840,7 +741,7 @@ mod tests {
         // serves 2 infinitely often.
         let mut ng1 = g1.clone();
         ng1.complement();
-        let fair = Fairness::new([g2]);
+        let fair = TransFairness::new([FairReq::new(g2, [])]);
         let r = eg_fair(&m, &ng1, &fair);
         assert!(r.contains(0));
         assert!(r.contains(2));
@@ -851,7 +752,7 @@ mod tests {
     fn ex_fair_filters_successors() {
         let (m, _, g2) = scheduler();
         // Make only s2's lineage fair.
-        let fair = Fairness::new([g2.clone()]);
+        let fair = TransFairness::new([FairReq::new(g2.clone(), [])]);
         // EX_fair g2: a successor in g2 that starts a fair path: s0 -> s2.
         let r = ex_fair(&m, &g2, &fair);
         assert!(r.contains(0));
@@ -861,15 +762,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "share a capacity")]
     fn mismatched_capacities_rejected() {
-        Fairness::new([BitSet::new(3), BitSet::new(4)]);
+        TransFairness::new([
+            FairReq::new(BitSet::new(3), []),
+            FairReq::new(BitSet::new(4), []),
+        ]);
     }
 
     #[test]
     #[should_panic(expected = "share a capacity")]
     fn trans_mismatched_capacities_rejected() {
         TransFairness::new([
-            FairReq::new(BitSet::new(3), []),
-            FairReq::new(BitSet::new(4), []),
+            FairReq::new(BitSet::new(3), [(0u32, 1u32)]),
+            FairReq::new(BitSet::new(4), [(1u32, 0u32)]),
         ]);
     }
 
@@ -897,23 +801,11 @@ mod tests {
         assert!(ctl::eg(&m, &ndone).contains(0));
         // ... but no fair path stutters forever: the idle self-loop SCC has
         // neither a released state nor the idle -> done edge internal.
-        assert!(eg_fair_trans(&m, &ndone, &fair).is_empty());
-        let af = af_fair_trans(&m, &done, &fair);
+        assert!(eg_fair(&m, &ndone, &fair).is_empty());
+        let af = af_fair(&m, &done, &fair);
         assert!(af.contains(0) && af.contains(1));
         // Every state still starts a fair path.
-        assert_eq!(fair_states_trans(&m, &fair).len(), 2);
-    }
-
-    #[test]
-    fn state_set_fairness_is_the_edge_free_case() {
-        let (m, g1, g2) = scheduler();
-        let sets = Fairness::new([g1.clone(), g2.clone()]);
-        let trans = TransFairness::from_state_sets(&sets);
-        for goal in [&g1, &g2] {
-            assert_eq!(af_fair(&m, goal, &sets), af_fair_trans(&m, goal, &trans));
-            assert_eq!(eg_fair(&m, goal, &sets), eg_fair_trans(&m, goal, &trans));
-        }
-        assert_eq!(fair_states(&m, &sets), fair_states_trans(&m, &trans));
+        assert_eq!(fair_states(&m, &fair).len(), 2);
     }
 
     #[test]
@@ -922,12 +814,12 @@ mod tests {
         // Require the s1 -> s0 edge infinitely often: forces serving 1.
         let fair = TransFairness::new([FairReq::new(BitSet::new(3), [(1u32, 0u32)])]);
         let g1 = BitSet::from_iter_with_capacity(3, [1usize]);
-        assert!(af_fair_trans(&m, &g1, &fair).contains(0));
+        assert!(af_fair(&m, &g1, &fair).contains(0));
         // Restricted to ¬g1, the edge is not internal to any SCC: no fair
         // path avoids g1 forever.
         let mut ng1 = g1.clone();
         ng1.complement();
-        assert!(eg_fair_trans(&m, &ng1, &fair).is_empty());
+        assert!(eg_fair(&m, &ng1, &fair).is_empty());
     }
 
     mod checker {

@@ -236,7 +236,7 @@ mod tests {
         // the constraint "client 1 is served infinitely often or is not
         // requesting", guaranteed service holds.
         use icstar_kripke::bits::BitSet;
-        use icstar_mc::fair::{af_fair, Fairness};
+        use icstar_mc::fair::{af_fair, FairReq, TransFairness};
 
         let m = client_server(3);
         let k = m.kripke();
@@ -260,7 +260,7 @@ mod tests {
         assert!(!chk.holds(&f).unwrap());
         // Fair AF: from every state where client 1 requests, every FAIR
         // path serves it.
-        let fair = Fairness::new([not_req1_or_served]);
+        let fair = TransFairness::new([FairReq::new(not_req1_or_served, [])]);
         let fair_af_srv1 = af_fair(k, &srv1_set, &fair);
         for s in k.states() {
             if k.satisfies_atom(s, &req1) {

@@ -5,7 +5,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use icstar_kripke::Kripke;
 use icstar_logic::{has_index_quantifier, StateFormula};
@@ -386,12 +386,18 @@ impl VerifyService {
     /// A point-in-time view of the service counters. Reads the same
     /// registry handles [`VerifyService::telemetry_snapshot`] exports —
     /// the flat snapshot is a stable legacy view, not a second ledger.
+    ///
+    /// `jobs_completed` is read before `jobs_submitted`: both only grow
+    /// and a job is submitted before it completes, so a job submitted and
+    /// finished between the two reads cannot make `jobs_completed`
+    /// exceed `jobs_submitted`.
     pub fn stats(&self) -> StatsSnapshot {
         let s = &self.inner.stats;
         let total = s.total_ns.snapshot();
+        let jobs_completed = s.jobs_completed.get();
         StatsSnapshot {
             jobs_submitted: s.jobs_submitted.get(),
-            jobs_completed: s.jobs_completed.get(),
+            jobs_completed,
             formulas_checked: s.formulas_checked.get(),
             cache_hits: self.inner.cache.hits(),
             cache_misses: self.inner.cache.misses(),
@@ -680,15 +686,19 @@ fn process_unbounded(
         drop(certify);
         match outcome {
             Ok(cert) => {
-                // These checks have no span of their own (an unbounded
-                // job's trace is `queue_wait` + `certify`), so they are
-                // plain-timed into the job's check total.
-                let started = Instant::now();
-                for n in lo..cert.c {
-                    inner.stats.formulas_checked.inc();
-                    verdicts.push(direct_verdict(inner, &mut engine.session(n), n, name, f));
+                // Sizes below the cutoff are checked directly, under one
+                // `check` span per formula.
+                if lo < cert.c {
+                    let mut check = recorder.scope_under(root, "check");
+                    check.set_tid(worker);
+                    check.attr("formula", i.to_string());
+                    check.attr("n", format!("{lo}..{}", cert.c));
+                    for n in lo..cert.c {
+                        inner.stats.formulas_checked.inc();
+                        verdicts.push(direct_verdict(inner, &mut engine.session(n), n, name, f));
+                    }
+                    *check_time += check.finish();
                 }
-                *check_time += started.elapsed();
                 inner.stats.formulas_checked.inc();
                 inner.stats.cutoff_answers.inc();
                 verdicts.push(JobVerdict {
@@ -1022,6 +1032,39 @@ mod tests {
                 Err(e) => panic!("job lost: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn below_cutoff_checks_of_an_unbounded_job_are_check_spans() {
+        let service = VerifyService::start(small_config());
+        let h = service.submit(
+            VerifyJob::new(mutex_template())
+                .all_sizes_from(1)
+                .formula("mutex", parse_state("AG !crit_ge2").unwrap()),
+        );
+        let trace = h.trace;
+        let report = h.wait().unwrap();
+        let cutoff = report.verdicts.last().unwrap().cutoff.expect("certified");
+        assert!(cutoff > 1, "some size lies below the cutoff");
+        let spans = service.recorder().spans_for(trace);
+        let root = spans.iter().find(|s| s.name == "job").unwrap();
+        let checks: Vec<_> = spans.iter().filter(|s| s.name == "check").collect();
+        assert_eq!(checks.len(), 1, "one check span per formula");
+        assert_eq!(checks[0].parent, Some(root.id));
+        let attr = |k: &str| {
+            checks[0]
+                .attrs
+                .iter()
+                .find(|(a, _)| a == k)
+                .map(|(_, v)| v.clone())
+        };
+        assert_eq!(attr("formula").as_deref(), Some("0"));
+        assert_eq!(attr("n"), Some(format!("1..{cutoff}")));
+        // serve.job.check_ns is exactly the sum of the job's check spans.
+        let check_ns = service.telemetry_snapshot();
+        let check_ns = check_ns.histogram("serve.job.check_ns").unwrap();
+        assert_eq!(check_ns.count, 1);
+        assert_eq!(check_ns.sum, checks.iter().map(|s| s.dur_ns).sum::<u64>());
     }
 
     #[test]

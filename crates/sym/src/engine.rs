@@ -173,8 +173,10 @@ impl SymEngine {
     }
 
     /// As [`SymEngine::counter_graph_sharded`], optionally attaching the
-    /// exploration to a causal trace (see
-    /// [`SymEngine::counter_structure_sharded_traced`]).
+    /// exploration to a causal trace: with `trace = Some((recorder,
+    /// parent))`, every shard worker records a `shard[i]` span under
+    /// `parent` ([`CounterSystem::with_trace`]) — this is how a served
+    /// job's `build` span acquires per-shard children.
     pub fn counter_graph_sharded_traced(
         &self,
         n: u32,
@@ -186,31 +188,6 @@ impl SymEngine {
             sys = sys.with_trace(recorder, parent);
         }
         fairness::counter_graph_sharded(&sys, &self.spec, shards)
-    }
-
-    /// Materializes the counter-abstracted structure at size `n` with a
-    /// sharded parallel exploration ([`CounterSystem::kripke_sharded`]):
-    /// the same structure, explored by `shards` cooperating threads.
-    pub fn counter_structure_sharded(&self, n: u32, shards: usize) -> Kripke {
-        self.counter_structure_sharded_traced(n, shards, None)
-    }
-
-    /// As [`SymEngine::counter_structure_sharded`], optionally attaching
-    /// the exploration to a causal trace: with `trace = Some((recorder,
-    /// parent))`, every shard worker records a `shard[i]` span under
-    /// `parent` ([`CounterSystem::with_trace`]) — this is how a served
-    /// job's `build` span acquires per-shard children.
-    pub fn counter_structure_sharded_traced(
-        &self,
-        n: u32,
-        shards: usize,
-        trace: Option<(FlightRecorder, SpanContext)>,
-    ) -> Kripke {
-        let mut sys = self.system(n);
-        if let Some((recorder, parent)) = trace {
-            sys = sys.with_trace(recorder, parent);
-        }
-        sys.kripke_sharded(&self.spec, shards)
     }
 
     /// Materializes the width-`width` representative structure at size
@@ -871,7 +848,7 @@ mod tests {
             Err(SymError::BadRepWidth { .. })
         ));
         let seq = e.counter_structure(30);
-        let par = e.counter_structure_sharded(30, 4);
+        let par = e.counter_graph_sharded(30, 4).kripke;
         assert_eq!(seq.num_states(), par.num_states());
         assert_eq!(seq.num_transitions(), par.num_transitions());
     }

@@ -28,6 +28,7 @@ use icstar_telemetry::{FlightRecorder, Registry, SpanContext};
 
 use crate::counter::{CounterPacking, CounterState, PackedCounter};
 use crate::labels::CountingSpec;
+use crate::moves::MoveState;
 use crate::plan::LabelPlan;
 use crate::template::GuardedTemplate;
 
@@ -119,12 +120,14 @@ impl CounterSystem {
     /// order. Always non-empty: a state with no enabled move yields a
     /// stuttering `[state]`.
     ///
-    /// Two single-copy moves yield the same occupancy vector only if they
-    /// share the same `(from, to)` local-state pair (distinct sources
-    /// change distinct entries) — except self-moves `q → q`, which all
-    /// collapse onto `state` itself. Deduplication therefore happens on
-    /// cheap `u32` target comparisons per source plus one self-move flag,
-    /// instead of comparing whole counter vectors.
+    /// The moves come from the one move enumerator shared with the
+    /// representative construction and the fairness compiler, which
+    /// yields each enabled `(from, to)` local-state pair once. Two
+    /// single-copy moves yield the same occupancy vector only if they
+    /// share that pair (distinct sources change distinct entries) —
+    /// except self-moves `q → q`, which all collapse onto `state` itself.
+    /// Single moves therefore need one self-move flag, not whole-vector
+    /// comparisons.
     ///
     /// Broadcast moves follow the single-copy moves: each enabled
     /// broadcast is one O(|S|) whole-vector rewrite
@@ -135,48 +138,23 @@ impl CounterSystem {
     /// deduplicated by vector comparison against the handful of
     /// successors already emitted.
     pub fn successors(&self, state: &CounterState) -> Vec<CounterState> {
-        let num_states = self.template.num_states() as u32;
-        let capacity: usize = (0..num_states)
-            .filter(|&q| state.count(q) > 0)
-            .map(|q| self.template.base().successors(q).len())
-            .sum::<usize>()
-            + self.template.broadcasts().len();
-        let mut out: Vec<CounterState> = Vec::with_capacity(capacity);
+        let mut out: Vec<CounterState> = Vec::new();
         let mut self_move_seen = false;
-        // Distinct enabled targets of the current source, reused per q.
-        let mut targets: Vec<u32> = Vec::new();
-        for q in 0..num_states {
-            if state.count(q) == 0 {
-                continue;
-            }
-            targets.clear();
-            for (k, &q2) in self.template.base().successors(q).iter().enumerate() {
-                if self.template.enabled(state, q, k) && !targets.contains(&q2) {
-                    targets.push(q2);
+        state.for_each_move(&self.template, |m| {
+            if m.broadcast.is_some() {
+                let next = state.apply(&m);
+                if !out.contains(&next) {
+                    out.push(next);
                 }
+            } else if m.src != m.tgt {
+                out.push(state.apply(&m));
+            } else if !self_move_seen {
+                // A self-move leaves the occupancy unchanged; all such
+                // moves (from any source) are one abstract edge.
+                self_move_seen = true;
+                out.push(state.clone());
             }
-            for &q2 in &targets {
-                if q2 == q {
-                    // A self-move leaves the occupancy unchanged; all such
-                    // moves (from any source) are one abstract edge.
-                    if !self_move_seen {
-                        self_move_seen = true;
-                        out.push(state.clone());
-                    }
-                } else {
-                    out.push(state.move_one(q, q2));
-                }
-            }
-        }
-        for b in self.template.broadcasts() {
-            if state.count(b.source()) == 0 || !self.template.broadcast_enabled(state, b) {
-                continue;
-            }
-            let next = state.broadcast(b.source(), b.target(), b.response());
-            if !out.contains(&next) {
-                out.push(next);
-            }
-        }
+        });
         if out.is_empty() {
             out.push(state.clone());
         }
@@ -223,11 +201,9 @@ impl CounterSystem {
     /// to re-enumerate each state's moves and flag the fair ones.
     pub fn kripke_with_states(&self, spec: &CountingSpec) -> (Kripke, Vec<CounterState>) {
         let started = Instant::now();
-        let graph = explore(
-            self.initial(),
-            |state| self.successors(state),
-            |state, key| self.packing.pack_into(state, key),
-        );
+        let graph = explore(self.initial(), &self.packing, |state| {
+            self.successors(state)
+        });
         // Exploration telemetry is flushed once after the sweep: the hot
         // loop itself touches no atomics. Every successor arrival is one
         // edge.
@@ -489,16 +465,16 @@ pub(crate) struct Explored<S> {
 /// Breadth-first exploration from `init`. States are expanded in the
 /// order they are discovered, so each state's successor list (in
 /// `successors` order, duplicates kept) is appended straight to the CSR
-/// arrays. `key` writes a state's dedup key into a reused buffer; only a
-/// new state allocates its [`PackedCounter`].
-pub(crate) fn explore<S>(
+/// arrays. Each state's dedup key ([`MoveState::key`]) is written into a
+/// reused buffer; only a new state allocates its [`PackedCounter`].
+pub(crate) fn explore<S: MoveState>(
     init: S,
+    packing: &CounterPacking,
     mut successors: impl FnMut(&S) -> Vec<S>,
-    mut key: impl FnMut(&S, &mut Vec<u64>),
 ) -> Explored<S> {
     let mut ids: HashMap<PackedCounter, StateId> = HashMap::new();
     let mut buf = Vec::new();
-    key(&init, &mut buf);
+    init.key(packing, &mut buf);
     ids.insert(PackedCounter::from_words(&buf), StateId(0));
     let mut graph = Explored {
         states: vec![init],
@@ -510,7 +486,7 @@ pub(crate) fn explore<S>(
     while head < graph.states.len() {
         graph.frontier_peak = graph.frontier_peak.max(graph.states.len() - head);
         for next in successors(&graph.states[head]) {
-            key(&next, &mut buf);
+            next.key(packing, &mut buf);
             let to = match ids.get(buf.as_slice()) {
                 Some(&id) => id,
                 None => {

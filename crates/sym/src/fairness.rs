@@ -25,6 +25,18 @@
 //! differential battery in `tests/fair.rs` checks precisely this
 //! against [`check_fair_explicit`].
 //!
+//! [`counter_fairness`] and [`rep_fairness`] are one compiler over the
+//! crate's one move enumerator — the same one behind
+//! [`CounterSystem::successors`] and the representative construction —
+//! so a fairness edge is, by construction, the image of the local move
+//! that realizes the structure transition. Each state's moves are
+//! enumerated once and classified with
+//! [`FairnessDecl::contains`](crate::template::FairnessDecl::contains);
+//! a move's target is found through the exploration's own packed key.
+//! [`explicit_fairness`] deliberately keeps a separate, per-group copy of
+//! the move semantics over explicit tuples: it is the independent second
+//! copy the oracle compares against.
+//!
 //! [`counter_graph`] / [`rep_graph`] bundle each structure with its
 //! compiled [`TransFairness`] — the unit the engine caches and checks.
 
@@ -41,6 +53,7 @@ use crate::crosscheck::{full_relabel, guarded_interleave_with_states, occupancy}
 use crate::error::SymError;
 use crate::explore::CounterSystem;
 use crate::labels::CountingSpec;
+use crate::moves::MoveState;
 use crate::rep::{representative_with_states, RepState};
 use crate::template::GuardedTemplate;
 
@@ -107,54 +120,7 @@ pub fn rep_graph(
 /// structure, given the id-ordered occupancy vectors from
 /// [`CounterSystem::kripke_with_states`].
 pub fn counter_fairness(sys: &CounterSystem, states: &[CounterState]) -> TransFairness {
-    let t = sys.template();
-    if !t.is_fair() {
-        return TransFairness::unconstrained();
-    }
-    let index: HashMap<PackedCounter, u32> = states
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (sys.packing().pack(s), i as u32))
-        .collect();
-    let reqs: Vec<FairReq> = t
-        .fairness()
-        .iter()
-        .map(|d| {
-            let mut released = BitSet::new(states.len());
-            let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
-            for (i, c) in states.iter().enumerate() {
-                let mut any = false;
-                for &(src, tgt) in d.moves() {
-                    if c.count(src) == 0 {
-                        continue;
-                    }
-                    let plain_enabled = t
-                        .base()
-                        .successors(src)
-                        .iter()
-                        .enumerate()
-                        .any(|(k, &q2)| q2 == tgt && t.enabled(c, src, k));
-                    if plain_enabled {
-                        any = true;
-                        let next = c.move_one(src, tgt);
-                        edges.insert((i as u32, index[&sys.packing().pack(&next)]));
-                    }
-                    for bc in t.broadcasts() {
-                        if bc.source() == src && bc.target() == tgt && t.broadcast_enabled(c, bc) {
-                            any = true;
-                            let next = c.broadcast(src, tgt, bc.response());
-                            edges.insert((i as u32, index[&sys.packing().pack(&next)]));
-                        }
-                    }
-                }
-                if !any {
-                    released.insert(i);
-                }
-            }
-            FairReq::new(released, edges)
-        })
-        .collect();
-    TransFairness::new(reqs)
+    compile(sys, states)
 }
 
 /// Compiles the template's fairness declarations onto a representative
@@ -162,95 +128,59 @@ pub fn counter_fairness(sys: &CounterSystem, states: &[CounterState]) -> TransFa
 /// [`representative_with_states`]. A group move may be fired by a
 /// tracked copy or by an abstracted one; both realizations are flagged.
 pub fn rep_fairness(sys: &CounterSystem, states: &[RepState]) -> TransFairness {
+    compile(sys, states)
+}
+
+/// The one fairness compiler behind [`counter_fairness`] and
+/// [`rep_fairness`]: enumerates each state's moves once, flags every
+/// move a declaration contains, and resolves the move's target through
+/// the BFS's own packed key.
+fn compile<S: MoveState>(sys: &CounterSystem, states: &[S]) -> TransFairness {
     let t = sys.template();
     if !t.is_fair() {
         return TransFairness::unconstrained();
     }
-    let num_locals = t.num_states();
-    let key = |s: &RepState| (s.locals.clone(), sys.packing().pack(&s.others));
-    let index: HashMap<(Vec<u32>, PackedCounter), u32> = states
+    let packing = sys.packing();
+    let mut key = Vec::new();
+    let index: HashMap<PackedCounter, u32> = states
         .iter()
         .enumerate()
-        .map(|(i, s)| (key(s), i as u32))
-        .collect();
-    let reqs: Vec<FairReq> = t
-        .fairness()
-        .iter()
-        .map(|d| {
-            let mut released = BitSet::new(states.len());
-            let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
-            for (i, state) in states.iter().enumerate() {
-                let total = state.total_counts(num_locals);
-                let mut any = false;
-                for &(src, tgt) in d.moves() {
-                    let plain_enabled = t
-                        .base()
-                        .successors(src)
-                        .iter()
-                        .enumerate()
-                        .any(|(k, &q2)| q2 == tgt && t.enabled(&total, src, k));
-                    if plain_enabled {
-                        for (c, &q) in state.locals.iter().enumerate() {
-                            if q != src {
-                                continue;
-                            }
-                            any = true;
-                            let mut locals = state.locals.clone();
-                            locals[c] = tgt;
-                            let next = RepState {
-                                locals,
-                                others: state.others.clone(),
-                            };
-                            edges.insert((i as u32, index[&key(&next)]));
-                        }
-                        if state.others.count(src) > 0 {
-                            any = true;
-                            let next = RepState {
-                                locals: state.locals.clone(),
-                                others: state.others.move_one(src, tgt),
-                            };
-                            edges.insert((i as u32, index[&key(&next)]));
-                        }
-                    }
-                    for bc in t.broadcasts() {
-                        if bc.source() != src
-                            || bc.target() != tgt
-                            || !t.broadcast_enabled(&total, bc)
-                        {
-                            continue;
-                        }
-                        for (c, &q) in state.locals.iter().enumerate() {
-                            if q != src {
-                                continue;
-                            }
-                            any = true;
-                            let mut locals: Vec<u32> =
-                                state.locals.iter().map(|&l| bc.response_of(l)).collect();
-                            locals[c] = bc.target();
-                            let next = RepState {
-                                locals,
-                                others: state.others.respond(bc.response()),
-                            };
-                            edges.insert((i as u32, index[&key(&next)]));
-                        }
-                        if state.others.count(src) > 0 {
-                            any = true;
-                            let next = RepState {
-                                locals: state.locals.iter().map(|&l| bc.response_of(l)).collect(),
-                                others: state.others.broadcast(src, tgt, bc.response()),
-                            };
-                            edges.insert((i as u32, index[&key(&next)]));
-                        }
-                    }
-                }
-                if !any {
-                    released.insert(i);
-                }
-            }
-            FairReq::new(released, edges)
+        .map(|(i, s)| {
+            s.key(packing, &mut key);
+            (PackedCounter::from_words(&key), i as u32)
         })
         .collect();
-    TransFairness::new(reqs)
+    let groups = t.fairness();
+    let mut enabled = vec![false; groups.len()];
+    let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); groups.len()];
+    let mut released: Vec<BitSet> = groups.iter().map(|_| BitSet::new(states.len())).collect();
+    for (i, s) in states.iter().enumerate() {
+        enabled.fill(false);
+        s.for_each_move(t, |m| {
+            let mut target = None;
+            for (g, d) in groups.iter().enumerate() {
+                if d.contains(m.src, m.tgt) {
+                    let j = *target.get_or_insert_with(|| {
+                        s.apply(&m).key(packing, &mut key);
+                        index[key.as_slice()]
+                    });
+                    enabled[g] = true;
+                    edges[g].push((i as u32, j));
+                }
+            }
+        });
+        for (g, set) in released.iter_mut().enumerate() {
+            if !enabled[g] {
+                set.insert(i);
+            }
+        }
+    }
+    TransFairness::new(
+        released
+            .into_iter()
+            .zip(edges)
+            .map(|(set, e)| FairReq::new(set, e)),
+    )
 }
 
 /// Compiles the template's fairness declarations onto the explicit

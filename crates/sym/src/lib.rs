@@ -99,6 +99,7 @@ mod engine;
 mod error;
 mod explore;
 mod fingerprint;
+mod moves;
 mod plan;
 mod rep;
 mod template;

@@ -31,6 +31,7 @@ use crate::counter::CounterState;
 use crate::error::SymError;
 use crate::explore::{explore, CounterSystem};
 use crate::labels::CountingSpec;
+use crate::moves::MoveState;
 use crate::plan::LabelPlan;
 
 /// The index carried by the first distinguished copy in representative
@@ -119,11 +120,7 @@ pub fn representative_with_states(
         others: CounterState::all_in(num_locals, template.initial(), n - width),
     };
 
-    let graph = explore(
-        initial,
-        |state| rep_successors(sys, state),
-        |state, key| rep_key(sys, state, key),
-    );
+    let graph = explore(initial, sys.packing(), |state| rep_successors(sys, state));
 
     // Freeze: label each state from its total occupancy and its tracked
     // copies' local states through the shared label plan.
@@ -156,13 +153,6 @@ pub fn representative_with_states(
     Ok((indexed, graph.states))
 }
 
-/// The dedup key of a representative state: the packed occupancy of the
-/// abstracted copies followed by one word per tracked copy's local state.
-fn rep_key(sys: &CounterSystem, state: &RepState, key: &mut Vec<u64>) {
-    sys.packing().pack_into(&state.others, key);
-    key.extend(state.locals.iter().map(|&l| u64::from(l)));
-}
-
 /// A readable name for a representative state, e.g. `rep=try,idle|idle^3`:
 /// the tracked copies' local states, then the abstracted occupancy.
 fn rep_name(sys: &CounterSystem, state: &RepState) -> String {
@@ -179,79 +169,17 @@ fn rep_name(sys: &CounterSystem, state: &RepState) -> String {
     name
 }
 
-/// The distinct successors of a representative state, in deterministic
-/// order; a state with no enabled move yields a stuttering `[state]`.
+/// The distinct successors of a representative state, in the move
+/// enumerator's order; a state with no enabled move yields a stuttering
+/// `[state]`.
 fn rep_successors(sys: &CounterSystem, state: &RepState) -> Vec<RepState> {
-    let template = sys.template();
-    let num_locals = template.num_states();
-    let total = state.total_counts(num_locals);
     let mut succs: Vec<RepState> = Vec::new();
-    // One tracked copy moves...
-    for (t, &q) in state.locals.iter().enumerate() {
-        for (k, &q2) in template.base().successors(q).iter().enumerate() {
-            if template.enabled(&total, q, k) {
-                let mut locals = state.locals.clone();
-                locals[t] = q2;
-                let next = RepState {
-                    locals,
-                    others: state.others.clone(),
-                };
-                if !succs.contains(&next) {
-                    succs.push(next);
-                }
-            }
+    state.for_each_move(sys.template(), |m| {
+        let next = state.apply(&m);
+        if !succs.contains(&next) {
+            succs.push(next);
         }
-    }
-    // ...or one of the abstracted copies moves.
-    for q in 0..num_locals as u32 {
-        if state.others.count(q) == 0 {
-            continue;
-        }
-        for (k, &q2) in template.base().successors(q).iter().enumerate() {
-            if template.enabled(&total, q, k) {
-                let next = RepState {
-                    locals: state.locals.clone(),
-                    others: state.others.move_one(q, q2),
-                };
-                if !succs.contains(&next) {
-                    succs.push(next);
-                }
-            }
-        }
-    }
-    // ...or a broadcast fires. Either some tracked copy initiates (its
-    // tracked peers and every abstracted copy respond), or an abstracted
-    // copy does (all tracked copies respond).
-    for bc in template.broadcasts() {
-        if !template.broadcast_enabled(&total, bc) {
-            continue;
-        }
-        for (t, &q) in state.locals.iter().enumerate() {
-            if q != bc.source() {
-                continue;
-            }
-            let mut locals: Vec<u32> = state.locals.iter().map(|&l| bc.response_of(l)).collect();
-            locals[t] = bc.target();
-            let next = RepState {
-                locals,
-                others: state.others.respond(bc.response()),
-            };
-            if !succs.contains(&next) {
-                succs.push(next);
-            }
-        }
-        if state.others.count(bc.source()) > 0 {
-            let next = RepState {
-                locals: state.locals.iter().map(|&l| bc.response_of(l)).collect(),
-                others: state
-                    .others
-                    .broadcast(bc.source(), bc.target(), bc.response()),
-            };
-            if !succs.contains(&next) {
-                succs.push(next);
-            }
-        }
-    }
+    });
     if succs.is_empty() {
         succs.push(state.clone());
     }

@@ -10,17 +10,17 @@
 //!    Exploration loops at `n = 10⁶` record millions of events — they
 //!    must never contend.
 //! 2. **No dependencies.** Like the rest of the workspace, the crate
-//!    is `std`-only: JSON is hand-rolled (the criterion shim's
-//!    `BENCH_JSON` idiom), Prometheus exposition is plain text.
+//!    is `std`-only: Prometheus exposition is plain text, the Chrome
+//!    trace JSON is hand-rolled (the criterion shim's `BENCH_JSON`
+//!    idiom).
 //! 3. **Bounded error.** The histograms trade precision for a fixed
 //!    64-bucket footprint: any quantile estimate is within a factor
 //!    of 2 of the truth, which is enough to see a regression without
 //!    enough to argue about.
 //!
-//! Two snapshot wire forms feed the service front-end: Prometheus text
-//! for the `METRICS` wire command ([`TelemetrySnapshot::to_prometheus`]
-//! / [`TelemetrySnapshot::parse_prometheus`]) and a JSON dump
-//! ([`TelemetrySnapshot::to_json`] / [`TelemetrySnapshot::from_json`]).
+//! Snapshots reach the service front-end as Prometheus text for the
+//! `METRICS` wire command ([`TelemetrySnapshot::to_prometheus`] /
+//! [`TelemetrySnapshot::parse_prometheus`]).
 //!
 //! On top of the aggregates sits per-job **causal tracing**: the
 //! [`FlightRecorder`] ring buffer retains recent [`SpanEvent`]s keyed

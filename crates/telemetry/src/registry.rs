@@ -42,9 +42,8 @@ struct Inner {
 /// underlying store.
 ///
 /// Metric names are dotted paths (`serve.jobs.submitted`) restricted to
-/// lowercase ASCII letters, digits, `.` and `_` — this keeps both the
-/// JSON dump and the Prometheus mangling (`.` → `_`, `icstar_` prefix)
-/// unambiguous.
+/// lowercase ASCII letters, digits, `.` and `_` — this keeps the
+/// Prometheus mangling (`.` → `_`, `icstar_` prefix) unambiguous.
 ///
 /// # Examples
 ///

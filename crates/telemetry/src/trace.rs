@@ -619,8 +619,8 @@ pub fn parse_chrome_trace(json: &str) -> Result<Vec<SpanEvent>, String> {
 }
 
 /// A strict cursor over the exact grammar [`to_chrome_trace`] emits —
-/// the same hand-rolled style as the telemetry snapshot's JSON parser,
-/// plus string escapes (span names and attribute values are arbitrary).
+/// hand-rolled like the wire report parser, with string escapes (span
+/// names and attribute values are arbitrary).
 struct ChromeCursor<'a> {
     bytes: &'a [u8],
     pos: usize,

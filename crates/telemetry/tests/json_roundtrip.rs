@@ -1,8 +1,8 @@
-//! Property tests: a [`TelemetrySnapshot`] survives the hand-rolled
-//! JSON printer/parser pair and the Prometheus text exposition,
-//! byte-for-byte on the JSON side and value-for-value (modulo name
-//! mangling) on the Prometheus side. Seeds drive `StdRng` through the
-//! vendored proptest shim, the same idiom as the wire round-trip suite.
+//! Property tests: a [`TelemetrySnapshot`] survives the Prometheus text
+//! exposition value-for-value (modulo name mangling), and histogram
+//! quantiles bracket the true order statistics. Seeds drive `StdRng`
+//! through the vendored proptest shim, the same idiom as the wire
+//! round-trip suite.
 
 use icstar_telemetry::{
     wire_name, HistogramSnapshot, MetricValue, Registry, TelemetrySnapshot, BUCKETS,
@@ -59,16 +59,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     #[test]
-    fn json_round_trips(seed in 0u64..u64::MAX) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let snap = random_snapshot(&mut rng);
-        let json = snap.to_json();
-        let parsed = TelemetrySnapshot::from_json(&json)
-            .map_err(|e| TestCaseError::fail(format!("{e}: {json}")))?;
-        prop_assert_eq!(parsed, snap, "{}", json);
-    }
-
-    #[test]
     fn prometheus_round_trips_values(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let snap = random_snapshot(&mut rng);
@@ -120,17 +110,6 @@ proptest! {
 }
 
 #[test]
-fn sparse_bucket_encoding_stays_small() {
-    // An idle service's histograms must not bloat the JSON dump: one
-    // empty histogram costs a fixed ~90 bytes, not 64 zero buckets.
-    let registry = Registry::new();
-    registry.histogram("serve.job.total_ns");
-    let json = registry.snapshot().to_json();
-    assert!(json.len() < 120, "idle histogram too large: {json}");
-    assert!(json.contains("\"buckets\":[]"));
-}
-
-#[test]
 fn full_buckets_survive() {
     // Every bucket occupied at once — the densest possible histogram.
     let mut h = HistogramSnapshot::default();
@@ -142,7 +121,6 @@ fn full_buckets_survive() {
     let snap = TelemetrySnapshot {
         metrics: vec![("dense".into(), MetricValue::Histogram(Box::new(h)))],
     };
-    assert_eq!(TelemetrySnapshot::from_json(&snap.to_json()).unwrap(), snap);
     let parsed = TelemetrySnapshot::parse_prometheus(&snap.to_prometheus()).unwrap();
     assert_eq!(
         parsed.histogram("icstar_dense"),

@@ -1108,7 +1108,7 @@ fn health_line(shared: &Shared) -> String {
         shared.started.elapsed().as_millis(),
         telemetry.gauge("serve.queue.depth").get().max(0),
         shared.service.workers(),
-        s.jobs_submitted - s.jobs_completed,
+        s.jobs_submitted.saturating_sub(s.jobs_completed),
         telemetry.counter("serve.verdicts.errors").get(),
         recorder.len(),
         recorder.dropped(),

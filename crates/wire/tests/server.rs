@@ -623,6 +623,39 @@ fn trace_and_health_commands_expose_the_job_record() {
 }
 
 #[test]
+fn health_in_flight_stays_within_submitted_while_jobs_finish() {
+    // Jobs submitted and finished on a second connection race the
+    // HEALTH probe's two counter reads on the first.
+    let server = WireServer::bind("127.0.0.1:0", test_service()).unwrap();
+    let tiny = VerifyJob::new(mutex_template())
+        .at_size(2)
+        .formula("mutex", parse_state("AG !crit_ge2").unwrap());
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    let mut polls = 0u32;
+    std::thread::scope(|s| {
+        let submitter = s.spawn(|| {
+            let mut other = WireClient::connect(server.local_addr()).unwrap();
+            for _ in 0..200 {
+                let id = other.submit(&tiny).unwrap();
+                assert!(other.result(id).unwrap().all_hold());
+            }
+        });
+        while !submitter.is_finished() {
+            let health = client.health().unwrap();
+            let submitted = server.stats().jobs_submitted;
+            assert!(
+                health.jobs_in_flight <= submitted,
+                "jobs_in_flight {} > jobs_submitted {submitted}",
+                health.jobs_in_flight
+            );
+            polls += 1;
+        }
+    });
+    assert!(polls > 0);
+    assert_eq!(client.health().unwrap().jobs_in_flight, 0);
+}
+
+#[test]
 fn submit_in_trace_joins_the_client_supplied_trace() {
     let server = WireServer::bind("127.0.0.1:0", test_service()).unwrap();
     let mut client = WireClient::connect(server.local_addr()).unwrap();

@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // or stops requesting — the classic scheduler fairness assumption.
     use icstar::icstar_kripke::bits::BitSet;
     use icstar::icstar_kripke::Atom;
-    use icstar::icstar_mc::fair::{af_fair, Fairness};
+    use icstar::icstar_mc::fair::{af_fair, FairReq, TransFairness};
     let m = client_server(3);
     let k = m.kripke();
     let srv1 = Atom::indexed("srv", 1);
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .filter(|&s| k.satisfies_atom(s, &srv1))
             .map(|s| s.idx()),
     );
-    let fair = Fairness::new([fair_set]);
+    let fair = TransFairness::new([FairReq::new(fair_set, [])]);
     let fair_af = af_fair(k, &srv1_set, &fair);
     let guaranteed = k
         .states()

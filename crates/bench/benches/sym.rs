@@ -170,6 +170,24 @@ fn bench_fair_check(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_liveness_check(c: &mut Criterion) {
+    // The unfair liveness route: plain mutex `AG AF crit_ge1`, whose `AF`
+    // is the `EG` the labeler computes by SCCs. `check-warm/*` builds
+    // the counter structure once outside the samples and times the
+    // check alone.
+    let mut group = c.benchmark_group("sym/liveness-check");
+    group.sample_size(10);
+    let engine = SymEngine::new(mutex_template());
+    let f = parse_state("AG AF crit_ge1").unwrap();
+    let n = 10_000u32;
+    let mut warm = engine.session(n);
+    assert!(warm.check(&f).unwrap());
+    group.bench_with_input(BenchmarkId::new("check-warm/mutex", n), &f, |b, f| {
+        b.iter(|| assert!(warm.check(f).unwrap()))
+    });
+    group.finish();
+}
+
 fn bench_build_layers(c: &mut Criterion) {
     // One build layer per id, its inputs built once outside the samples.
     // `fairness/*` compiles the fair barrier's groups onto state vectors
@@ -279,6 +297,7 @@ criterion_group!(
     bench_mutex_verification,
     bench_representative_width,
     bench_fair_check,
+    bench_liveness_check,
     bench_build_layers,
     bench_cross_check,
     bench_cutoff_detect,

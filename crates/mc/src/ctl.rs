@@ -6,12 +6,12 @@
 //!
 //! * [`pre_exists`] — `EX`: states with *some* successor in the set;
 //! * [`pre_all`] — `AX`: states with *all* successors in the set;
-//! * [`eu`] — `E[f U g]` as a least fixpoint;
-//! * [`eg`] — `EG f` as a greatest fixpoint;
-//! * [`er`] — `E[f R g]` as a greatest fixpoint.
-//!
-//! All run in time linear in `|S| + |R|` per fixpoint round with worklist
-//! acceleration for [`eu`].
+//! * [`eu`] — `E[f U g]` as a least fixpoint, by a backward worklist in
+//!   time linear in `|S| + |R|`;
+//! * [`eg`] — `EG f` as a greatest fixpoint, one `|S| + |R|` round per
+//!   state it drops. The checker computes `EG` in linear time by SCCs
+//!   instead ([`crate::fair::eg_fair`]); this is the independent
+//!   reference the tests compare that against.
 
 use icstar_kripke::bits::BitSet;
 use icstar_kripke::{Kripke, StateId};
@@ -62,121 +62,6 @@ pub fn eg(m: &Kripke, f: &BitSet) -> BitSet {
     loop {
         let mut next = pre_exists(m, &z);
         next.intersect_with(f);
-        if next == z {
-            return z;
-        }
-        z = next;
-    }
-}
-
-/// `EG f` by the SCC method of Clarke–Emerson–Sistla: restrict the graph
-/// to `f`-states, find the non-trivial SCCs, and take backward
-/// reachability within `f`. Produces the same set as [`eg`] — the two are
-/// cross-checked in the tests as independent implementations.
-pub fn eg_scc(m: &Kripke, f: &BitSet) -> BitSet {
-    let n = m.num_states();
-    // Tarjan over the f-restricted subgraph.
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp = vec![u32::MAX; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut call: Vec<(u32, usize)> = Vec::new();
-    let mut next_index = 0u32;
-    let mut next_comp = 0u32;
-    for root in 0..n as u32 {
-        if !f.contains(root as usize) || index[root as usize] != u32::MAX {
-            continue;
-        }
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-        call.push((root, 0));
-        while let Some(&mut (u, ref mut cursor)) = call.last_mut() {
-            let succs = m.successors(StateId(u));
-            let mut advanced = false;
-            while *cursor < succs.len() {
-                let v = succs[*cursor].0;
-                *cursor += 1;
-                if !f.contains(v as usize) {
-                    continue;
-                }
-                if index[v as usize] == u32::MAX {
-                    index[v as usize] = next_index;
-                    low[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                    call.push((v, 0));
-                    advanced = true;
-                    break;
-                } else if on_stack[v as usize] {
-                    low[u as usize] = low[u as usize].min(index[v as usize]);
-                }
-            }
-            if advanced {
-                continue;
-            }
-            call.pop();
-            if let Some(&(parent, _)) = call.last() {
-                low[parent as usize] = low[parent as usize].min(low[u as usize]);
-            }
-            if low[u as usize] == index[u as usize] {
-                loop {
-                    let w = stack.pop().expect("tarjan stack");
-                    on_stack[w as usize] = false;
-                    comp[w as usize] = next_comp;
-                    if w == u {
-                        break;
-                    }
-                }
-                next_comp += 1;
-            }
-        }
-    }
-    // Non-trivial SCCs (internal edge within f).
-    let mut fair = vec![false; next_comp as usize];
-    for u in 0..n {
-        if !f.contains(u) {
-            continue;
-        }
-        for &v in m.successors(StateId(u as u32)) {
-            if f.contains(v.idx()) && comp[u] == comp[v.idx()] {
-                fair[comp[u] as usize] = true;
-            }
-        }
-    }
-    // Backward reachability through f from fair-SCC members.
-    let mut out = BitSet::new(n);
-    let mut work: Vec<StateId> = Vec::new();
-    for u in 0..n {
-        if f.contains(u) && comp[u] != u32::MAX && fair[comp[u] as usize] {
-            out.insert(u);
-            work.push(StateId(u as u32));
-        }
-    }
-    while let Some(s) = work.pop() {
-        for &p in m.predecessors(s) {
-            if f.contains(p.idx()) && !out.contains(p.idx()) {
-                out.insert(p.idx());
-                work.push(p);
-            }
-        }
-    }
-    out
-}
-
-/// `E[f R g]`: some path satisfies `f R g` (i.e. `g` holds up to and
-/// including the first `f`-state, or forever). Greatest fixpoint
-/// `νZ. g ∧ (f ∨ EX Z)`.
-pub fn er(m: &Kripke, f: &BitSet, g: &BitSet) -> BitSet {
-    let mut z = g.clone();
-    loop {
-        let mut next = pre_exists(m, &z);
-        next.union_with(f);
-        next.intersect_with(g);
         if next == z {
             return z;
         }
@@ -275,41 +160,32 @@ mod tests {
     }
 
     #[test]
-    fn er_release_semantics() {
-        let (m, p, q, _) = diamond();
-        // E[q R p]: p must hold up to and including the first q-state, or
-        // forever. s0,s1 can loop in p forever -> in. s2 is q but not p:
-        // q R p requires p at least initially unless... νZ. p ∧ (q ∨ EX Z):
-        // s2 not in p -> out. s3 not in p -> out.
-        let rel = er(&m, &q, &p);
-        assert_eq!(rel.iter().collect::<Vec<_>>(), vec![0, 1]);
-        // E[p R q] at s2: q holds forever on s2^ω and p∧q never needed?
-        // νZ. q ∧ (p ∨ EX Z): s2: q ∧ (no p, but EX Z with Z={s2}) -> stays.
-        let rel2 = er(&m, &p, &q);
-        assert_eq!(rel2.iter().collect::<Vec<_>>(), vec![2]);
-    }
-
-    #[test]
     fn full_and_empty() {
         let (m, ..) = diamond();
         assert_eq!(full_set(&m).len(), 4);
         assert!(empty_set(&m).is_empty());
     }
 
+    /// `EG f` as the checker computes it: by SCCs, with no fairness
+    /// requirements.
+    fn eg_by_sccs(m: &Kripke, f: &BitSet) -> BitSet {
+        crate::fair::eg_fair(m, f, &crate::fair::TransFairness::unconstrained())
+    }
+
     #[test]
-    fn eg_scc_agrees_with_fixpoint() {
+    fn eg_by_sccs_agrees_with_fixpoint() {
         let (m, p, q, r) = diamond();
         for set in [&p, &q, &r, &full_set(&m), &empty_set(&m)] {
-            assert_eq!(eg(&m, set), eg_scc(&m, set));
+            assert_eq!(eg(&m, set), eg_by_sccs(&m, set));
         }
         // Union sets too.
         let mut pq = p.clone();
         pq.union_with(&q);
-        assert_eq!(eg(&m, &pq), eg_scc(&m, &pq));
+        assert_eq!(eg(&m, &pq), eg_by_sccs(&m, &pq));
     }
 
     #[test]
-    fn eg_scc_agrees_on_random_structures() {
+    fn eg_by_sccs_agrees_on_random_structures() {
         use icstar_kripke::gen::{random_kripke, RandomConfig};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -329,7 +205,7 @@ mod tests {
                     f.insert(s.idx());
                 }
             }
-            assert_eq!(eg(&m, &f), eg_scc(&m, &f), "trial {trial}");
+            assert_eq!(eg(&m, &f), eg_by_sccs(&m, &f), "trial {trial}");
         }
     }
 }

@@ -1,16 +1,22 @@
 //! The CTL* model checker.
 //!
 //! [`Checker`] labels a structure with the satisfying-state set of any
-//! (quantifier-free, closed) CTL* state formula, recursively:
+//! (quantifier-free, closed) CTL* state formula, recursively, optionally
+//! with its path quantifiers ranging over the fair paths of a
+//! [`TransFairness`] constraint only ([`Checker::fair`]):
 //!
 //! * boolean structure and atoms are evaluated directly on the labels;
 //! * path quantifications in **CTL shape** (`E[f U g]`, `AG f`, `EX f`, …)
-//!   go through the linear-time fixpoint primitives of [`crate::ctl`] —
-//!   this is the algorithm the paper invokes (Clarke–Emerson–Sistla);
+//!   go through the fair operators of [`crate::fair`] — `EG` by SCCs,
+//!   `EU`/`EX` by backward search, every other shape by duality — which
+//!   with no requirements are the linear-time labeling algorithm the
+//!   paper invokes (Clarke–Emerson–Sistla);
 //! * arbitrary path formulas go through the automata route: maximal state
 //!   subformulas are checked recursively and become literals, the rest is
 //!   LTL translated to a generalized Büchi automaton ([`crate::buchi`])
-//!   and decided on the product ([`crate::product`]).
+//!   and decided on the product ([`crate::product`]). The product knows
+//!   no fairness, so under requirements such formulas are refused with
+//!   [`McError::NotCtl`].
 //!
 //! Index quantifiers are *not* handled here — see
 //! [`IndexedChecker`](crate::IndexedChecker), which expands them over a
@@ -27,10 +33,12 @@ use icstar_logic::{collapse_states, nnf_path, IndexTerm, Nnf, PathFormula, State
 use crate::buchi::{ltl_to_gba, LitId};
 use crate::ctl;
 use crate::error::McError;
+use crate::fair::{self, eg_fair, eu_fair, ex_fair, TransFairness};
 use crate::product::Product;
 
-/// A CTL* model checker for one structure, with a satisfaction cache
-/// shared across formulas (state subformulas are checked once).
+/// A CTL* model checker for one structure under one fairness constraint
+/// (none for [`Checker::new`]), with a satisfaction cache shared across
+/// formulas (state subformulas are checked once).
 ///
 /// # Examples
 ///
@@ -56,14 +64,29 @@ use crate::product::Product;
 /// ```
 pub struct Checker<'a> {
     m: &'a Kripke,
+    fair: &'a TransFairness,
     cache: HashMap<StateFormula, Rc<BitSet>>,
 }
 
 impl<'a> Checker<'a> {
-    /// Creates a checker for `m`.
+    /// Creates a checker for `m` over all paths.
     pub fn new(m: &'a Kripke) -> Self {
+        Checker::fair(m, &fair::UNCONSTRAINED)
+    }
+
+    /// Creates a checker for `m` whose path quantifiers range over the
+    /// paths meeting every requirement of `fair` only. Under requirements
+    /// only the CTL fragment is supported (every path quantifier wrapping
+    /// one temporal operator over state operands, after
+    /// [`collapse_states`] normalization); other path formulas are
+    /// refused with [`McError::NotCtl`]. Without requirements this is
+    /// [`Checker::new`].
+    ///
+    /// See the [`crate::fair`] module for an example.
+    pub fn fair(m: &'a Kripke, fair: &'a TransFairness) -> Self {
         Checker {
             m,
+            fair,
             cache: HashMap::new(),
         }
     }
@@ -78,7 +101,8 @@ impl<'a> Checker<'a> {
     /// # Errors
     ///
     /// Returns [`McError`] if `f` contains free index variables or index
-    /// quantifiers.
+    /// quantifiers, or, under fairness requirements, a path formula
+    /// outside the CTL fragment.
     pub fn holds(&mut self, f: &StateFormula) -> Result<bool, McError> {
         Ok(self.sat(f)?.contains(self.m.initial().idx()))
     }
@@ -196,116 +220,83 @@ impl<'a> Checker<'a> {
         out
     }
 
-    /// `E p` (`exists = true`) or `A p` (`exists = false`).
+    /// `E p` (`exists = true`) or `A p` (`exists = false`). A CTL-shaped
+    /// `p` goes through the fair operators, `A p` as `¬E ¬p` with the
+    /// negation pushed through the one temporal operator (`¬X f = X ¬f`,
+    /// `¬(f U g) = ¬f R ¬g`, `¬F f = G ¬f`); any other `p` through the
+    /// Büchi product, which needs no requirements.
     fn sat_quantified(&mut self, exists: bool, p: &PathFormula) -> Result<BitSet, McError> {
         use PathFormula::*;
         let p = collapse_states(p);
-        // CTL fast paths.
-        if exists {
-            match &p {
-                State(f) => return Ok((*self.sat(f)?).clone()),
-                Until(a, b) => {
-                    if let (State(f), State(g)) = (&**a, &**b) {
-                        let sf = self.sat(f)?;
-                        let sg = self.sat(g)?;
-                        return Ok(ctl::eu(self.m, &sf, &sg));
-                    }
-                }
-                Release(a, b) => {
-                    if let (State(f), State(g)) = (&**a, &**b) {
-                        let sf = self.sat(f)?;
-                        let sg = self.sat(g)?;
-                        return Ok(ctl::er(self.m, &sf, &sg));
-                    }
-                }
-                Eventually(g) => {
-                    if let State(f) = &**g {
-                        let sf = self.sat(f)?;
-                        return Ok(ctl::eu(self.m, &ctl::full_set(self.m), &sf));
-                    }
-                }
-                Globally(g) => {
-                    if let State(f) = &**g {
-                        let sf = self.sat(f)?;
-                        return Ok(ctl::eg(self.m, &sf));
-                    }
-                }
-                Next(g) => {
-                    if let State(f) = &**g {
-                        let sf = self.sat(f)?;
-                        return Ok(ctl::pre_exists(self.m, &sf));
-                    }
-                }
-                _ => {}
+        let (m, fair) = (self.m, self.fair);
+        let shaped = match (&p, exists) {
+            // A state formula holds on some fair path iff it holds here
+            // and a fair path starts here.
+            (State(f), _) => {
+                let mut s = self.operand(f, exists)?;
+                s.intersect_with(&fair::fair_states(m, fair));
+                Some(s)
             }
-        } else {
-            match &p {
-                State(f) => return Ok((*self.sat(f)?).clone()),
-                // A[f U g] = ¬E[¬g U ¬f∧¬g] ∧ ¬EG ¬g
-                Until(a, b) => {
-                    if let (State(f), State(g)) = (&**a, &**b) {
-                        let nf = self.sat(&(**f).clone().not())?;
-                        let ng = self.sat(&(**g).clone().not())?;
-                        let mut nfng = (*nf).clone();
-                        nfng.intersect_with(&ng);
-                        let mut bad = ctl::eu(self.m, &ng, &nfng);
-                        bad.union_with(&ctl::eg(self.m, &ng));
-                        bad.complement();
-                        return Ok(bad);
-                    }
+            (Next(g), _) => match &**g {
+                State(f) => Some(ex_fair(m, &self.operand(f, exists)?, fair)),
+                _ => None,
+            },
+            (Eventually(g), true) | (Globally(g), false) => match &**g {
+                State(f) => Some(eu_fair(
+                    m,
+                    &ctl::full_set(m),
+                    &self.operand(f, exists)?,
+                    fair,
+                )),
+                _ => None,
+            },
+            (Globally(g), true) | (Eventually(g), false) => match &**g {
+                State(f) => Some(eg_fair(m, &self.operand(f, exists)?, fair)),
+                _ => None,
+            },
+            (Until(a, b), true) | (Release(a, b), false) => match (&**a, &**b) {
+                (State(f), State(g)) => {
+                    let sf = self.operand(f, exists)?;
+                    Some(eu_fair(m, &sf, &self.operand(g, exists)?, fair))
                 }
-                // A[f R g] = ¬E[¬f U ¬g]
-                Release(a, b) => {
-                    if let (State(f), State(g)) = (&**a, &**b) {
-                        let nf = self.sat(&(**f).clone().not())?;
-                        let ng = self.sat(&(**g).clone().not())?;
-                        let mut bad = ctl::eu(self.m, &nf, &ng);
-                        bad.complement();
-                        return Ok(bad);
-                    }
+                _ => None,
+            },
+            // E[f R g] = E[g U (f ∧ g)] ∨ EG g.
+            (Release(a, b), true) | (Until(a, b), false) => match (&**a, &**b) {
+                (State(f), State(g)) => {
+                    let mut fg = self.operand(f, exists)?;
+                    let sg = self.operand(g, exists)?;
+                    fg.intersect_with(&sg);
+                    let mut s = eu_fair(m, &sg, &fg, fair);
+                    s.union_with(&eg_fair(m, &sg, fair));
+                    Some(s)
                 }
-                // AF f = ¬EG ¬f
-                Eventually(g) => {
-                    if let State(f) = &**g {
-                        let nf = self.sat(&(**f).clone().not())?;
-                        let mut bad = ctl::eg(self.m, &nf);
-                        bad.complement();
-                        return Ok(bad);
-                    }
-                }
-                // AG f = ¬EF ¬f
-                Globally(g) => {
-                    if let State(f) = &**g {
-                        let nf = self.sat(&(**f).clone().not())?;
-                        let mut bad = ctl::eu(self.m, &ctl::full_set(self.m), &nf);
-                        bad.complement();
-                        return Ok(bad);
-                    }
-                }
-                Next(g) => {
-                    if let State(f) = &**g {
-                        let sf = self.sat(f)?;
-                        return Ok(ctl::pre_all(self.m, &sf));
-                    }
-                }
-                _ => {}
+                _ => None,
+            },
+            _ => None,
+        };
+        let mut out = match shaped {
+            Some(out) => out,
+            None => {
+                let query = if exists { p } else { Not(Box::new(p)) };
+                let (nnf, lits) = self.literalize(&query)?;
+                Product::explore(m, &ltl_to_gba(&nnf), &lits).e_states()
             }
-        }
-        // General CTL* route: A p = ¬E ¬p; E p via the Büchi product.
-        let query = if exists { p } else { Not(Box::new(p)) };
-        let mut result = self.sat_exists_general(&query)?;
+        };
         if !exists {
-            result.complement();
+            out.complement();
         }
-        Ok(result)
+        Ok(out)
     }
 
-    /// The automata route for `E p`, arbitrary `p`.
-    fn sat_exists_general(&mut self, p: &PathFormula) -> Result<BitSet, McError> {
-        let (nnf, lits) = self.literalize(p)?;
-        let gba = ltl_to_gba(&nnf);
-        let prod = Product::explore(self.m, &gba, &lits);
-        Ok(prod.e_states())
+    /// The satisfaction set of an operand of `E` (`exists = true`), or
+    /// its complement for the `¬E ¬p` form of `A`.
+    fn operand(&mut self, f: &StateFormula, exists: bool) -> Result<BitSet, McError> {
+        let mut s = (*self.sat(f)?).clone();
+        if !exists {
+            s.complement();
+        }
+        Ok(s)
     }
 
     /// A satisfying lasso for `E p` from `s`, if any — the witness (or,
@@ -313,7 +304,8 @@ impl<'a> Checker<'a> {
     ///
     /// # Errors
     ///
-    /// See [`Checker::holds`].
+    /// See [`Checker::holds`]; under fairness requirements always
+    /// [`McError::NotCtl`] (the witness comes from the Büchi product).
     pub fn exists_witness(
         &mut self,
         s: StateId,
@@ -327,8 +319,12 @@ impl<'a> Checker<'a> {
     }
 
     /// Converts a path formula into NNF over literal ids, checking each
-    /// maximal state subformula recursively.
+    /// maximal state subformula recursively. The product it feeds knows
+    /// no fairness, so this refuses under requirements.
     fn literalize(&mut self, p: &PathFormula) -> Result<(Nnf<LitId>, Vec<BitSet>), McError> {
+        if !self.fair.is_empty() {
+            return Err(McError::NotCtl(p.to_string()));
+        }
         let nnf = nnf_path(p);
         let mut table: Vec<BitSet> = Vec::new();
         let mut ids: HashMap<StateFormula, LitId> = HashMap::new();

@@ -12,9 +12,9 @@ pub enum McError {
     /// The formula contains an index quantifier but the checker has no
     /// index set to expand it over; use the indexed checker.
     QuantifierWithoutIndexSet(String),
-    /// The fair checker supports only CTL-shaped formulas (each path
-    /// quantifier wrapping one temporal operator over state operands);
-    /// the payload is the offending path formula.
+    /// Under fairness requirements the checker supports only CTL-shaped
+    /// formulas (each path quantifier wrapping one temporal operator over
+    /// state operands); the payload is the offending path formula.
     NotCtl(String),
 }
 
@@ -30,7 +30,7 @@ impl fmt::Display for McError {
             ),
             McError::NotCtl(p) => write!(
                 f,
-                "path formula {p:?} is outside the CTL fragment the fair checker supports"
+                "path formula {p:?} is outside the CTL fragment checked under fairness"
             ),
         }
     }

@@ -1,10 +1,10 @@
-//! Fair CTL model checking (Clarke–Emerson–Sistla Section 5 / Emerson–Lei
+//! Fair CTL operators (Clarke–Emerson–Sistla Section 5 / Emerson–Lei
 //! style).
 //!
 //! The paper's token ring needs no fairness (token transfers are forced),
 //! but most request/grant protocols do: without it, `AF served` fails on
-//! the path where the scheduler ignores a client forever. This module
-//! restricts path quantifiers to *fair* paths.
+//! the path where the scheduler ignores a client forever. These operators
+//! restrict path quantifiers to *fair* paths.
 //!
 //! A fairness constraint is a [`TransFairness`]: a conjunction of
 //! [`FairReq`]s, each met by a path iff infinitely often it is in one of
@@ -17,30 +17,60 @@
 //! the edges the transitions taking one. The operators use the standard
 //! fair-SCC construction:
 //!
+//! * [`eg_fair`] — `E_fair G f`: backward `f`-closure of the non-trivial
+//!   SCCs of the `f`-restricted graph that, for every requirement,
+//!   contain a released state or an internal requirement edge. With no
+//!   requirements this is the linear-time `EG` of the CTL labeling
+//!   algorithm;
 //! * [`fair_states`] — states from which some fair path starts
-//!   (`E_fair G true`): backward closure of non-trivial SCCs that, for
-//!   every requirement, contain a released state or an internal
-//!   requirement edge;
-//! * [`eg_fair`] — `E_fair G f`: the same computation inside `f`;
+//!   (`E_fair G true`; every state when there are no requirements);
 //! * [`eu_fair`], [`ex_fair`] — reduce to the plain operators against
 //!   `fair ∧ goal`;
 //! * universal operators by duality (`AF_fair f = ¬E_fair G ¬f`).
 //!
-//! [`FairChecker`] closes the loop for formula-level checking: a cached
-//! recursive evaluator for CTL-shaped formulas whose path quantifiers
-//! range over fair paths only — the fair counterpart of
-//! [`crate::Checker`] (which the counter-abstraction engine routes
-//! liveness queries through when a template declares fairness).
+//! [`Checker::fair`](crate::Checker::fair) evaluates formulas over them.
+//!
+//! # Examples
+//!
+//! ```
+//! use icstar_kripke::{Atom, KripkeBuilder};
+//! use icstar_kripke::bits::BitSet;
+//! use icstar_logic::parse_state;
+//! use icstar_mc::fair::{FairReq, TransFairness};
+//! use icstar_mc::Checker;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! // idle -> idle (stutter), idle -> done -> done.
+//! let mut b = KripkeBuilder::new();
+//! let idle = b.state_labeled("idle", [Atom::plain("idle")]);
+//! let done = b.state_labeled("done", [Atom::plain("done")]);
+//! b.edge(idle, idle);
+//! b.edge(idle, done);
+//! b.edge(done, done);
+//! let m = b.build(idle)?;
+//!
+//! // Weak fairness of the idle -> done move: released at `done` (the
+//! // move is disabled there), taken on the idle -> done edge.
+//! let req = FairReq::new(
+//!     BitSet::from_iter_with_capacity(2, [done.idx()]),
+//!     [(idle.0, done.0)],
+//! );
+//! let fair = TransFairness::new([req]);
+//!
+//! // Plain AF done fails (the idle stutter loop); fair AF done holds.
+//! assert!(Checker::fair(&m, &fair).holds(&parse_state("AF done")?)?);
+//! assert!(!Checker::new(&m).holds(&parse_state("AF done")?)?);
+//! # Ok(())
+//! # }
+//! ```
 
-use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
+use std::collections::BTreeSet;
 
 use icstar_kripke::bits::BitSet;
-use icstar_kripke::{Atom, Kripke, StateId};
-use icstar_logic::{collapse_states, IndexTerm, PathFormula, StateFormula};
+use icstar_kripke::{Kripke, StateId};
 
 use crate::ctl;
-use crate::error::McError;
+use crate::product::tarjan;
 
 /// One transition-based fairness requirement: a path meets it iff
 /// infinitely often it visits one of `states` **or** traverses one of
@@ -88,6 +118,9 @@ pub struct TransFairness {
     reqs: Vec<FairReq>,
 }
 
+/// The constraint [`Checker::new`](crate::Checker::new) checks under.
+pub(crate) static UNCONSTRAINED: TransFairness = TransFairness { reqs: Vec::new() };
+
 impl TransFairness {
     /// No requirements: every path is fair.
     pub fn unconstrained() -> Self {
@@ -126,90 +159,53 @@ impl TransFairness {
 /// every [`FairReq`] infinitely often.
 ///
 /// Computation: restrict to `f`; an SCC of the restriction hosts a fair
-/// cycle iff it is non-trivial and, for every requirement, contains a
-/// released state or an internal requirement edge; take backward
-/// `f`-closure; iterate to stability.
+/// cycle iff it has an internal edge and, for every requirement,
+/// contains a released state or an internal requirement edge; take the
+/// backward `f`-closure of those SCCs. One SCC pass suffices: every fair
+/// SCC lies wholly inside its own closure, so the closure has the same
+/// fair SCCs again.
 pub fn eg_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
-    if fair.is_empty() {
-        return ctl::eg(m, f);
+    let succs = |u: u32| m.successors(StateId(u)).iter().map(|t| t.0);
+    let (comp, count) = tarjan(m.num_states(), |u| f.contains(u as usize), succs);
+    let mut fair_comp = vec![false; count];
+    for s in f.iter() {
+        if succs(s as u32).any(|t| comp[t as usize] == comp[s]) {
+            fair_comp[comp[s] as usize] = true;
+        }
     }
-    // Iterate: within the candidate set, keep states whose SCC (within the
-    // candidate set) is non-trivial and satisfies every requirement;
-    // repeat until stable (removing states can break SCCs).
-    let mut candidate = f.clone();
-    loop {
-        let comp = scc_within(m, &candidate);
-        let num_comps = comp
-            .iter()
-            .filter_map(|&c| c)
-            .max()
-            .map_or(0usize, |c| c as usize + 1);
-        if num_comps == 0 {
-            return BitSet::new(m.num_states());
-        }
-        let mut nontrivial = vec![false; num_comps];
-        for s in m.states() {
-            if comp[s.idx()].is_none() {
-                continue;
-            }
-            for &t in m.successors(s) {
-                if comp[t.idx()] == comp[s.idx()] && (t != s || m.has_edge(s, s)) {
-                    nontrivial[comp[s.idx()].expect("checked") as usize] = true;
-                }
+    for req in fair.reqs() {
+        let mut hit = vec![false; count];
+        for s in req.states().iter() {
+            if f.contains(s) {
+                hit[comp[s] as usize] = true;
             }
         }
-        let mut fair_comp = nontrivial;
-        for req in fair.reqs() {
-            let mut hit = vec![false; num_comps];
-            for s in m.states() {
-                if let Some(c) = comp[s.idx()] {
-                    if req.states().contains(s.idx()) {
-                        hit[c as usize] = true;
-                    }
-                }
-            }
-            // An SCC-internal requirement edge can be traversed
-            // infinitely often by a path cycling through the component.
-            for &(u, v) in req.edges() {
-                if let (Some(cu), Some(cv)) = (comp[u as usize], comp[v as usize]) {
-                    if cu == cv {
-                        hit[cu as usize] = true;
-                    }
-                }
-            }
-            for (fc, h) in fair_comp.iter_mut().zip(hit) {
-                *fc &= h;
+        // An SCC-internal requirement edge can be traversed
+        // infinitely often by a path cycling through the component.
+        for &(u, v) in req.edges() {
+            let c = comp[u as usize];
+            if c != u32::MAX && c == comp[v as usize] {
+                hit[c as usize] = true;
             }
         }
-        // Seeds: members of fair SCCs.
-        let mut seeds = BitSet::new(m.num_states());
-        for s in m.states() {
-            if let Some(c) = comp[s.idx()] {
-                if fair_comp[c as usize] {
-                    seeds.insert(s.idx());
-                }
-            }
+        for (fc, h) in fair_comp.iter_mut().zip(hit) {
+            *fc &= h;
         }
-        // Backward closure through the candidate set.
-        let mut result = seeds.clone();
-        let mut work: Vec<StateId> = seeds.iter().map(|b| StateId(b as u32)).collect();
-        while let Some(s) = work.pop() {
-            for &p in m.predecessors(s) {
-                if candidate.contains(p.idx()) && !result.contains(p.idx()) {
-                    result.insert(p.idx());
-                    work.push(p);
-                }
-            }
-        }
-        if result == candidate {
-            return result;
-        }
-        candidate = result;
     }
+    let seeds = BitSet::from_iter_with_capacity(
+        m.num_states(),
+        f.iter().filter(|&s| fair_comp[comp[s] as usize]),
+    );
+    ctl::eu(m, f, &seeds)
 }
 
-/// The states from which some fair path starts (`E_fair G true`).
+/// The states from which some fair path starts (`E_fair G true`). With no
+/// requirements every path is fair and, the transition relation being
+/// total, every state starts one: the full set, at no SCC pass.
 pub fn fair_states(m: &Kripke, fair: &TransFairness) -> BitSet {
+    if fair.is_empty() {
+        return ctl::full_set(m);
+    }
     eg_fair(m, &ctl::full_set(m), fair)
 }
 
@@ -226,422 +222,6 @@ pub fn ex_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
     let mut target = f.clone();
     target.intersect_with(&fair_states(m, fair));
     ctl::pre_exists(m, &target)
-}
-
-/// `AF_fair f = ¬E_fair G ¬f`: on every fair path, eventually `f`.
-pub fn af_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
-    let mut nf = f.clone();
-    nf.complement();
-    let mut bad = eg_fair(m, &nf, fair);
-    bad.complement();
-    bad
-}
-
-/// `AG_fair f = ¬E_fair[true U ¬f]`: along every fair path, globally `f`.
-pub fn ag_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
-    let mut nf = f.clone();
-    nf.complement();
-    let mut bad = eu_fair(m, &ctl::full_set(m), &nf, fair);
-    bad.complement();
-    bad
-}
-
-/// A fair-CTL model checker for one structure under one
-/// [`TransFairness`] constraint: path quantifiers range over **fair
-/// paths only**. Satisfaction sets are cached across formulas, like
-/// [`crate::Checker`]'s.
-///
-/// Only the CTL fragment is supported (every path quantifier must wrap a
-/// single temporal operator over state operands, after
-/// [`collapse_states`] normalization): the fair-SCC labeling underlying
-/// the operators does not extend to arbitrary CTL* path nesting. Other
-/// shapes are rejected with [`McError::NotCtl`].
-///
-/// # Examples
-///
-/// ```
-/// use icstar_kripke::{Atom, KripkeBuilder};
-/// use icstar_kripke::bits::BitSet;
-/// use icstar_logic::parse_state;
-/// use icstar_mc::fair::{FairChecker, FairReq, TransFairness};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // idle -> idle (stutter), idle -> done -> done.
-/// let mut b = KripkeBuilder::new();
-/// let idle = b.state_labeled("idle", [Atom::plain("idle")]);
-/// let done = b.state_labeled("done", [Atom::plain("done")]);
-/// b.edge(idle, idle);
-/// b.edge(idle, done);
-/// b.edge(done, done);
-/// let m = b.build(idle)?;
-///
-/// // Weak fairness of the idle -> done move: released at `done` (the
-/// // move is disabled there), taken on the idle -> done edge.
-/// let req = FairReq::new(
-///     BitSet::from_iter_with_capacity(2, [done.idx()]),
-///     [(idle.0, done.0)],
-/// );
-/// let fair = TransFairness::new([req]);
-///
-/// // Plain AF done fails (the idle stutter loop); fair AF done holds.
-/// let mut fair_chk = FairChecker::new(&m, &fair);
-/// assert!(fair_chk.holds(&parse_state("AF done")?)?);
-/// let unconstrained = TransFairness::unconstrained();
-/// let mut plain_chk = FairChecker::new(&m, &unconstrained);
-/// assert!(!plain_chk.holds(&parse_state("AF done")?)?);
-/// # Ok(())
-/// # }
-/// ```
-pub struct FairChecker<'a> {
-    m: &'a Kripke,
-    fair: &'a TransFairness,
-    /// `E_fair G true`, computed once on first use.
-    fair_start: Option<BitSet>,
-    cache: HashMap<StateFormula, Rc<BitSet>>,
-}
-
-impl<'a> FairChecker<'a> {
-    /// Creates a fair checker for `m` under `fair`.
-    pub fn new(m: &'a Kripke, fair: &'a TransFairness) -> Self {
-        FairChecker {
-            m,
-            fair,
-            fair_start: None,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// The structure under analysis.
-    pub fn structure(&self) -> &'a Kripke {
-        self.m
-    }
-
-    /// Whether `f` holds in the initial state over fair paths.
-    ///
-    /// # Errors
-    ///
-    /// [`McError::NotCtl`] outside the CTL fragment; [`McError`] as
-    /// [`crate::Checker::holds`] for free variables and quantifiers.
-    pub fn holds(&mut self, f: &StateFormula) -> Result<bool, McError> {
-        Ok(self.sat(f)?.contains(self.m.initial().idx()))
-    }
-
-    /// Whether `f` holds at state `s` over fair paths.
-    ///
-    /// # Errors
-    ///
-    /// See [`FairChecker::holds`].
-    pub fn holds_at(&mut self, s: StateId, f: &StateFormula) -> Result<bool, McError> {
-        Ok(self.sat(f)?.contains(s.idx()))
-    }
-
-    /// The set of states satisfying `f` over fair paths.
-    ///
-    /// # Errors
-    ///
-    /// See [`FairChecker::holds`].
-    pub fn sat(&mut self, f: &StateFormula) -> Result<Rc<BitSet>, McError> {
-        if let Some(hit) = self.cache.get(f) {
-            return Ok(Rc::clone(hit));
-        }
-        let result = self.compute(f)?;
-        let rc = Rc::new(result);
-        self.cache.insert(f.clone(), Rc::clone(&rc));
-        Ok(rc)
-    }
-
-    /// `E_fair G true`, cached.
-    fn fair_start(&mut self) -> BitSet {
-        if self.fair_start.is_none() {
-            self.fair_start = Some(fair_states(self.m, self.fair));
-        }
-        self.fair_start.clone().expect("just computed")
-    }
-
-    fn compute(&mut self, f: &StateFormula) -> Result<BitSet, McError> {
-        use StateFormula::*;
-        Ok(match f {
-            True => ctl::full_set(self.m),
-            False => ctl::empty_set(self.m),
-            Prop(n) => self.sat_atom(&Atom::plain(n.clone())),
-            Indexed(n, IndexTerm::Const(c)) => self.sat_atom(&Atom::indexed(n.clone(), *c)),
-            Indexed(_, IndexTerm::Var(v)) => return Err(McError::FreeIndexVariable(v.clone())),
-            ExactlyOne(n) => self.sat_exactly_one(n),
-            Not(g) => {
-                let mut s = (*self.sat(g)?).clone();
-                s.complement();
-                s
-            }
-            And(a, b) => {
-                let mut s = (*self.sat(a)?).clone();
-                let sb = self.sat(b)?;
-                s.intersect_with(&sb);
-                s
-            }
-            Or(a, b) => {
-                let mut s = (*self.sat(a)?).clone();
-                let sb = self.sat(b)?;
-                s.union_with(&sb);
-                s
-            }
-            Implies(a, b) => {
-                let mut s = (*self.sat(a)?).clone();
-                s.complement();
-                let sb = self.sat(b)?;
-                s.union_with(&sb);
-                s
-            }
-            Iff(a, b) => {
-                let sa = self.sat(a)?;
-                let sb = self.sat(b)?;
-                let mut s = BitSet::new(self.m.num_states());
-                for st in self.m.states() {
-                    if sa.contains(st.idx()) == sb.contains(st.idx()) {
-                        s.insert(st.idx());
-                    }
-                }
-                s
-            }
-            ForallIdx(v, _) | ExistsIdx(v, _) => {
-                return Err(McError::QuantifierWithoutIndexSet(v.clone()))
-            }
-            Exists(p) => self.sat_exists(p)?,
-            All(p) => self.sat_all(p)?,
-        })
-    }
-
-    fn sat_atom(&self, atom: &Atom) -> BitSet {
-        let mut out = BitSet::new(self.m.num_states());
-        if self.m.atoms().id(atom).is_some() {
-            for s in self.m.states() {
-                if self.m.satisfies_atom(s, atom) {
-                    out.insert(s.idx());
-                }
-            }
-        }
-        out
-    }
-
-    /// `Θ P` as in [`crate::Checker`]: a baked-in `one(P)` atom if
-    /// present, otherwise a count over the indexed instances of `P`.
-    fn sat_exactly_one(&self, name: &str) -> BitSet {
-        let theta = Atom::exactly_one(name.to_string());
-        if self.m.atoms().id(&theta).is_some() {
-            return self.sat_atom(&theta);
-        }
-        let ids: Vec<usize> = self
-            .m
-            .atoms()
-            .iter()
-            .filter(|(_, a)| a.is_indexed() && a.name() == name)
-            .map(|(id, _)| id.idx())
-            .collect();
-        let mut out = BitSet::new(self.m.num_states());
-        for s in self.m.states() {
-            let count = ids.iter().filter(|&&b| self.m.label(s).contains(b)).count();
-            if count == 1 {
-                out.insert(s.idx());
-            }
-        }
-        out
-    }
-
-    /// `E_fair p` for a CTL-shaped path formula.
-    fn sat_exists(&mut self, p: &PathFormula) -> Result<BitSet, McError> {
-        use PathFormula::*;
-        let p = collapse_states(p);
-        match &p {
-            // A state formula holds on some fair path iff it holds here
-            // and a fair path exists at all.
-            State(f) => {
-                let mut s = (*self.sat(f)?).clone();
-                s.intersect_with(&self.fair_start());
-                Ok(s)
-            }
-            Until(a, b) => {
-                if let (State(f), State(g)) = (&**a, &**b) {
-                    let sf = (*self.sat(f)?).clone();
-                    let sg = (*self.sat(g)?).clone();
-                    return Ok(eu_fair(self.m, &sf, &sg, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            // E_fair[f R g] = E_fair[g U (f ∧ g)] ∨ E_fair G g.
-            Release(a, b) => {
-                if let (State(f), State(g)) = (&**a, &**b) {
-                    let sf = self.sat(f)?;
-                    let sg = (*self.sat(g)?).clone();
-                    let mut fg = (*sf).clone();
-                    fg.intersect_with(&sg);
-                    let mut out = eu_fair(self.m, &sg, &fg, self.fair);
-                    out.union_with(&eg_fair(self.m, &sg, self.fair));
-                    return Ok(out);
-                }
-                Err(self.not_ctl(&p))
-            }
-            Eventually(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(eu_fair(self.m, &ctl::full_set(self.m), &sf, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            Globally(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(eg_fair(self.m, &sf, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            Next(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(ex_fair(self.m, &sf, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            _ => Err(self.not_ctl(&p)),
-        }
-    }
-
-    /// `A_fair p` by duality against the existential operators.
-    fn sat_all(&mut self, p: &PathFormula) -> Result<BitSet, McError> {
-        use PathFormula::*;
-        let p = collapse_states(p);
-        match &p {
-            // Vacuously true where no fair path starts.
-            State(f) => {
-                let mut s = self.fair_start();
-                s.complement();
-                let sf = self.sat(f)?;
-                s.union_with(&sf);
-                Ok(s)
-            }
-            // A_fair[f U g] = ¬(E_fair[¬g U ¬f∧¬g] ∨ E_fair G ¬g).
-            Until(a, b) => {
-                if let (State(f), State(g)) = (&**a, &**b) {
-                    let nf = (*self.sat(&(**f).clone().not())?).clone();
-                    let ng = (*self.sat(&(**g).clone().not())?).clone();
-                    let mut nfng = nf.clone();
-                    nfng.intersect_with(&ng);
-                    let mut bad = eu_fair(self.m, &ng, &nfng, self.fair);
-                    bad.union_with(&eg_fair(self.m, &ng, self.fair));
-                    bad.complement();
-                    return Ok(bad);
-                }
-                Err(self.not_ctl(&p))
-            }
-            // A_fair[f R g] = ¬E_fair[¬f U ¬g].
-            Release(a, b) => {
-                if let (State(f), State(g)) = (&**a, &**b) {
-                    let nf = (*self.sat(&(**f).clone().not())?).clone();
-                    let ng = (*self.sat(&(**g).clone().not())?).clone();
-                    return Ok({
-                        let mut bad = eu_fair(self.m, &nf, &ng, self.fair);
-                        bad.complement();
-                        bad
-                    });
-                }
-                Err(self.not_ctl(&p))
-            }
-            Eventually(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(af_fair(self.m, &sf, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            Globally(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(ag_fair(self.m, &sf, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            // AX_fair f = ¬EX_fair ¬f.
-            Next(g) => {
-                if let State(f) = &**g {
-                    let nf = (*self.sat(&(**f).clone().not())?).clone();
-                    let mut bad = ex_fair(self.m, &nf, self.fair);
-                    bad.complement();
-                    return Ok(bad);
-                }
-                Err(self.not_ctl(&p))
-            }
-            _ => Err(self.not_ctl(&p)),
-        }
-    }
-
-    fn not_ctl(&self, p: &PathFormula) -> McError {
-        McError::NotCtl(p.to_string())
-    }
-}
-
-/// Tarjan restricted to a candidate set: returns `Some(component)` for
-/// members, `None` outside.
-fn scc_within(m: &Kripke, within: &BitSet) -> Vec<Option<u32>> {
-    let n = m.num_states();
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp: Vec<Option<u32>> = vec![None; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut call: Vec<(u32, usize)> = Vec::new();
-    let mut next_index = 0u32;
-    let mut next_comp = 0u32;
-    for root in 0..n as u32 {
-        if !within.contains(root as usize) || index[root as usize] != u32::MAX {
-            continue;
-        }
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-        call.push((root, 0));
-        while let Some(&mut (u, ref mut cursor)) = call.last_mut() {
-            let succs = m.successors(StateId(u));
-            let mut advanced = false;
-            while *cursor < succs.len() {
-                let v = succs[*cursor].0;
-                *cursor += 1;
-                if !within.contains(v as usize) {
-                    continue;
-                }
-                if index[v as usize] == u32::MAX {
-                    index[v as usize] = next_index;
-                    low[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                    call.push((v, 0));
-                    advanced = true;
-                    break;
-                } else if on_stack[v as usize] {
-                    low[u as usize] = low[u as usize].min(index[v as usize]);
-                }
-            }
-            if advanced {
-                continue;
-            }
-            call.pop();
-            if let Some(&(parent, _)) = call.last() {
-                low[parent as usize] = low[parent as usize].min(low[u as usize]);
-            }
-            if low[u as usize] == index[u as usize] {
-                loop {
-                    let w = stack.pop().expect("tarjan stack");
-                    on_stack[w as usize] = false;
-                    comp[w as usize] = Some(next_comp);
-                    if w == u {
-                        break;
-                    }
-                }
-                next_comp += 1;
-            }
-        }
-    }
-    comp
 }
 
 #[cfg(test)]
@@ -666,11 +246,17 @@ mod tests {
         (m, g1, g2)
     }
 
+    /// The states satisfying `src` over the fair paths of `m`.
+    fn sat(m: &Kripke, fair: &TransFairness, src: &str) -> BitSet {
+        let f = icstar_logic::parse_state(src).unwrap();
+        (*crate::Checker::fair(m, fair).sat(&f).unwrap()).clone()
+    }
+
     #[test]
     fn unconstrained_fairness_is_plain_ctl() {
         let (m, g1, _) = scheduler();
         let fair = TransFairness::unconstrained();
-        assert_eq!(af_fair(&m, &g1, &fair), {
+        assert_eq!(sat(&m, &fair, "AF g1"), {
             let mut n = ctl::eg(&m, &{
                 let mut c = g1.clone();
                 c.complement();
@@ -684,7 +270,7 @@ mod tests {
 
     #[test]
     fn fairness_rescues_liveness() {
-        let (m, g1, g2) = scheduler();
+        let (m, _, g2) = scheduler();
         // Plain AF g2 fails at s0: the path (s0 s1)^ω never serves 2.
         let plain_af_g2 = {
             let mut n = g2.clone();
@@ -697,7 +283,7 @@ mod tests {
         // Under the fairness constraint "serve 2 infinitely often", AF g2
         // holds everywhere.
         let fair = TransFairness::new([FairReq::new(g2.clone(), [])]);
-        let fair_af = af_fair(&m, &g2, &fair);
+        let fair_af = sat(&m, &fair, "AF g2");
         assert!(fair_af.contains(0));
         assert!(fair_af.contains(1));
         // And EG ¬g2 under that fairness is empty.
@@ -706,7 +292,7 @@ mod tests {
         assert!(eg_fair(&m, &ng2, &fair).is_empty());
         // g1's liveness under g2-fairness: serving 1 infinitely often is
         // not required, so AF g1 still fails at s0 (fair path (s0 s2)^ω).
-        let fair_af_g1 = af_fair(&m, &g1, &fair);
+        let fair_af_g1 = sat(&m, &fair, "AF g1");
         assert!(!fair_af_g1.contains(0));
     }
 
@@ -715,8 +301,8 @@ mod tests {
         let (m, g1, g2) = scheduler();
         // Fair = serve 1 AND serve 2 infinitely often: both livenesses.
         let fair = TransFairness::new([FairReq::new(g1.clone(), []), FairReq::new(g2.clone(), [])]);
-        assert!(af_fair(&m, &g1, &fair).contains(0));
-        assert!(af_fair(&m, &g2, &fair).contains(0));
+        assert!(sat(&m, &fair, "AF g1").contains(0));
+        assert!(sat(&m, &fair, "AF g2").contains(0));
         // Fair states: the whole (strongly connected) graph.
         assert_eq!(fair_states(&m, &fair).len(), 3);
     }
@@ -727,11 +313,12 @@ mod tests {
         // Constraint set empty: no path can visit it infinitely often.
         let fair = TransFairness::new([FairReq::new(BitSet::new(3), [])]);
         assert!(fair_states(&m, &fair).is_empty());
+        // The goal: state 0, `idle`.
         let goal = BitSet::from_iter_with_capacity(3, [0usize]);
         // E_fair[true U goal] is empty too (no fair continuation).
         assert!(eu_fair(&m, &ctl::full_set(&m), &goal, &fair).is_empty());
         // AF_fair trivially holds (no fair paths to violate it).
-        assert_eq!(af_fair(&m, &goal, &fair).len(), 3);
+        assert_eq!(sat(&m, &fair, "AF idle").len(), 3);
     }
 
     #[test]
@@ -802,7 +389,7 @@ mod tests {
         // ... but no fair path stutters forever: the idle self-loop SCC has
         // neither a released state nor the idle -> done edge internal.
         assert!(eg_fair(&m, &ndone, &fair).is_empty());
-        let af = af_fair(&m, &done, &fair);
+        let af = sat(&m, &fair, "AF done");
         assert!(af.contains(0) && af.contains(1));
         // Every state still starts a fair path.
         assert_eq!(fair_states(&m, &fair).len(), 2);
@@ -814,27 +401,37 @@ mod tests {
         // Require the s1 -> s0 edge infinitely often: forces serving 1.
         let fair = TransFairness::new([FairReq::new(BitSet::new(3), [(1u32, 0u32)])]);
         let g1 = BitSet::from_iter_with_capacity(3, [1usize]);
-        assert!(af_fair(&m, &g1, &fair).contains(0));
+        assert!(sat(&m, &fair, "AF g1").contains(0));
         // Restricted to ¬g1, the edge is not internal to any SCC: no fair
         // path avoids g1 forever.
         let mut ng1 = g1.clone();
         ng1.complement();
         assert!(eg_fair(&m, &ng1, &fair).is_empty());
+        // Inside the s0 <-> s1 component the edge is internal, and it is
+        // the only thing meeting the requirement there (no state is
+        // released): every state starts a fair path, and (s0 s1)^ω
+        // avoids g2 fairly.
+        assert_eq!(fair_states(&m, &fair).len(), 3);
+        assert!(sat(&m, &fair, "EG !g2").contains(0));
     }
 
     mod checker {
         use super::*;
+        use crate::McError;
         use icstar_logic::parse_state;
+        use std::rc::Rc;
 
         fn check(m: &Kripke, fair: &TransFairness, f: &str) -> bool {
             let parsed = parse_state(f).unwrap();
-            FairChecker::new(m, fair).holds(&parsed).unwrap()
+            crate::Checker::fair(m, fair).holds(&parsed).unwrap()
         }
 
         #[test]
         fn unconstrained_matches_plain_checker() {
+            // A requirement every state meets constrains nothing, but its
+            // answers still come through the fair-SCC computation.
             let (m, _, _) = scheduler();
-            let fair = TransFairness::unconstrained();
+            let fair = TransFairness::new([FairReq::new(ctl::full_set(&m), [])]);
             for f in [
                 "AF g1",
                 "AF g2",
@@ -892,16 +489,24 @@ mod tests {
 
         #[test]
         fn non_ctl_rejected() {
-            let (m, _, _) = scheduler();
-            let fair = TransFairness::unconstrained();
+            // Under requirements the Büchi route is closed; without them
+            // it answers.
+            let (m, _, g2) = scheduler();
+            let fair = TransFairness::new([FairReq::new(g2, [])]);
             for f in ["E(F G g1)", "A(F g1 & F g2)", "E(g1 U (g2 U idle))"] {
                 let parsed = parse_state(f).unwrap();
-                let err = FairChecker::new(&m, &fair).holds(&parsed).unwrap_err();
+                assert!(crate::Checker::new(&m).holds(&parsed).is_ok());
+                let err = crate::Checker::fair(&m, &fair).holds(&parsed).unwrap_err();
                 assert!(
                     matches!(err, McError::NotCtl(_)),
                     "formula {f} gave {err:?}"
                 );
             }
+            let path = icstar_logic::parse_path("F g1").unwrap();
+            assert!(matches!(
+                crate::Checker::fair(&m, &fair).exists_witness(StateId(0), &path),
+                Err(McError::NotCtl(_))
+            ));
         }
 
         #[test]
@@ -910,12 +515,12 @@ mod tests {
             let fair = TransFairness::unconstrained();
             let free = parse_state("AF crit[i]").unwrap();
             assert!(matches!(
-                FairChecker::new(&m, &fair).holds(&free),
+                crate::Checker::fair(&m, &fair).holds(&free),
                 Err(McError::FreeIndexVariable(_))
             ));
             let quant = parse_state("forall i. AF crit[i]").unwrap();
             assert!(matches!(
-                FairChecker::new(&m, &fair).holds(&quant),
+                crate::Checker::fair(&m, &fair).holds(&quant),
                 Err(McError::QuantifierWithoutIndexSet(_))
             ));
         }
@@ -924,7 +529,7 @@ mod tests {
         fn cache_is_shared_across_queries() {
             let (m, _, g2) = scheduler();
             let fair = TransFairness::new([FairReq::new(g2, [])]);
-            let mut chk = FairChecker::new(&m, &fair);
+            let mut chk = crate::Checker::fair(&m, &fair);
             let f = parse_state("AF g2").unwrap();
             let a = chk.sat(&f).unwrap();
             let b = chk.sat(&f).unwrap();

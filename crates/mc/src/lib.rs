@@ -5,11 +5,14 @@
 //! to verify the small instance, then transfer the result through the
 //! correspondence") needs a checker for its logic. This crate provides:
 //!
-//! * the **CTL labeling algorithm** of Clarke–Emerson–Sistla as fixpoint
-//!   primitives ([`ctl`]);
+//! * one labeler, [`Checker`]: the **CTL labeling algorithm** of
+//!   Clarke–Emerson–Sistla, with `EG` by strongly connected components,
+//!   over all paths ([`Checker::new`]) or over the paths meeting a
+//!   transition-fairness constraint ([`Checker::fair`]; operators in
+//!   [`fair`], the fixpoint primitives in [`ctl`]);
 //! * an **LTL → generalized Büchi** tableau ([`buchi`], GPVW-style) and a
 //!   **product emptiness** check ([`product`]) that together lift the
-//!   checker to full CTL* ([`Checker`]);
+//!   checker to full CTL* when there are no fairness requirements;
 //! * **indexed CTL\*** checking by quantifier expansion over an index set
 //!   ([`IndexedChecker`]);
 //! * an independent **naive lasso oracle** ([`naive`]) and

@@ -3,9 +3,11 @@
 //! `E φ` holds at state `s` iff the product of the structure with the
 //! automaton for `φ` has, from some compatible initial pair `(s, q₀)`, a
 //! path reaching a *non-trivial* strongly connected component that
-//! intersects every acceptance set. SCCs are found with an iterative
-//! Tarjan; the satisfying-state set falls out of a reverse reachability
-//! pass, so the whole labeling is computed in one product exploration.
+//! intersects every acceptance set. SCCs are found with the crate's one
+//! iterative Tarjan (`tarjan`, shared with
+//! [`eg_fair`](crate::fair::eg_fair)); the satisfying-state set falls out
+//! of a reverse reachability pass, so the whole labeling is computed in
+//! one product exploration.
 
 use std::collections::HashMap;
 
@@ -96,35 +98,26 @@ impl<'a> Product<'a> {
             }
         }
 
-        let comp = tarjan(&adj);
+        let (comp, num_comps) = tarjan(nodes.len(), |_| true, |u| adj[u as usize].iter().copied());
         let n = nodes.len();
-        // Which SCCs are accepting?
-        let num_comps = comp.iter().copied().max().map_or(0, |c| c as usize + 1);
-        let mut comp_size = vec![0u32; num_comps];
-        for &c in &comp {
-            comp_size[c as usize] += 1;
-        }
-        let mut has_self_loop = vec![false; num_comps];
-        let mut has_internal_edge = vec![false; num_comps];
+        // An SCC is accepting iff it has an internal edge (it hosts a
+        // cycle) and a member in every acceptance set.
+        let mut accepting_comp = vec![false; num_comps];
         for (u, outs) in adj.iter().enumerate() {
-            for &v in outs {
-                if comp[u] == comp[v as usize] {
-                    has_internal_edge[comp[u] as usize] = true;
-                    if u as u32 == v {
-                        has_self_loop[comp[u] as usize] = true;
-                    }
+            if outs.iter().any(|&v| comp[v as usize] == comp[u]) {
+                accepting_comp[comp[u] as usize] = true;
+            }
+        }
+        for set in &gba.acceptance {
+            let mut hit = vec![false; num_comps];
+            for (u, &(_, q)) in nodes.iter().enumerate() {
+                if set.contains(&(q as usize)) {
+                    hit[comp[u] as usize] = true;
                 }
             }
-        }
-        let mut accepting_comp = vec![false; num_comps];
-        for c in 0..num_comps {
-            let nontrivial = comp_size[c] > 1 && has_internal_edge[c] || has_self_loop[c];
-            if !nontrivial {
-                continue;
+            for (acc, h) in accepting_comp.iter_mut().zip(hit) {
+                *acc &= h;
             }
-            accepting_comp[c] = gba.acceptance.iter().all(|set| {
-                (0..n).any(|u| comp[u] as usize == c && set.contains(&(nodes[u].1 as usize)))
-            });
         }
         let in_accepting: Vec<bool> = (0..n).map(|u| accepting_comp[comp[u] as usize]).collect();
 
@@ -317,9 +310,15 @@ fn backtrack(prev: &[u32], start: u32, end: u32) -> Vec<u32> {
     path
 }
 
-/// Iterative Tarjan SCC; returns the component id of each node.
-fn tarjan(adj: &[Vec<u32>]) -> Vec<u32> {
-    let n = adj.len();
+/// Iterative Tarjan over the nodes `0..n` for which `member` holds,
+/// following only edges between members. Returns each node's SCC id
+/// (`u32::MAX` for non-members; ids in reverse topological order) and the
+/// number of SCCs.
+pub(crate) fn tarjan<I: Iterator<Item = u32>>(
+    n: usize,
+    member: impl Fn(u32) -> bool,
+    succs: impl Fn(u32) -> I,
+) -> (Vec<u32>, usize) {
     let mut comp = vec![u32::MAX; n];
     let mut index = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
@@ -327,52 +326,52 @@ fn tarjan(adj: &[Vec<u32>]) -> Vec<u32> {
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0u32;
     let mut next_comp = 0u32;
-    // Explicit DFS: (node, child cursor).
-    let mut call: Vec<(u32, usize)> = Vec::new();
+    // Explicit DFS: (node, its successors not yet followed).
+    let mut call: Vec<(u32, I)> = Vec::new();
     for root in 0..n as u32 {
-        if index[root as usize] != u32::MAX {
+        if !member(root) || index[root as usize] != u32::MAX {
             continue;
         }
-        call.push((root, 0));
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-        while let Some(&mut (u, ref mut cursor)) = call.last_mut() {
-            if *cursor < adj[u as usize].len() {
-                let v = adj[u as usize][*cursor];
-                *cursor += 1;
+        let mut opening = Some(root);
+        loop {
+            if let Some(v) = opening.take() {
+                index[v as usize] = next_index;
+                low[v as usize] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v as usize] = true;
+                call.push((v, succs(v)));
+            }
+            let Some((u, rest)) = call.last_mut() else {
+                break;
+            };
+            let u = *u;
+            if let Some(v) = rest.find(|&v| member(v)) {
                 if index[v as usize] == u32::MAX {
-                    index[v as usize] = next_index;
-                    low[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                    call.push((v, 0));
+                    opening = Some(v);
                 } else if on_stack[v as usize] {
                     low[u as usize] = low[u as usize].min(index[v as usize]);
                 }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    low[parent as usize] = low[parent as usize].min(low[u as usize]);
-                }
-                if low[u as usize] == index[u as usize] {
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        comp[w as usize] = next_comp;
-                        if w == u {
-                            break;
-                        }
+                continue;
+            }
+            call.pop();
+            if let Some(&(parent, _)) = call.last() {
+                low[parent as usize] = low[parent as usize].min(low[u as usize]);
+            }
+            if low[u as usize] == index[u as usize] {
+                loop {
+                    let w = stack.pop().expect("tarjan stack underflow");
+                    on_stack[w as usize] = false;
+                    comp[w as usize] = next_comp;
+                    if w == u {
+                        break;
                     }
-                    next_comp += 1;
                 }
+                next_comp += 1;
             }
         }
     }
-    comp
+    (comp, next_comp as usize)
 }
 
 #[cfg(test)]
@@ -482,8 +481,9 @@ mod tests {
     #[test]
     fn tarjan_on_simple_graph() {
         // 0 -> 1 -> 2 -> 0 (one SCC), 3 -> 0 (own SCC)
-        let adj = vec![vec![1], vec![2], vec![0], vec![0]];
-        let comp = tarjan(&adj);
+        let adj: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![0], vec![0]];
+        let (comp, count) = tarjan(adj.len(), |_| true, |u| adj[u as usize].iter().copied());
+        assert_eq!(count, 2);
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[3], comp[0]);
@@ -491,8 +491,8 @@ mod tests {
 
     #[test]
     fn tarjan_self_loop_and_isolated() {
-        let adj = vec![vec![0], vec![]];
-        let comp = tarjan(&adj);
+        let adj: Vec<Vec<u32>> = vec![vec![0], vec![]];
+        let (comp, _) = tarjan(adj.len(), |_| true, |u| adj[u as usize].iter().copied());
         assert_ne!(comp[0], comp[1]);
     }
 }

@@ -49,7 +49,7 @@ pub fn ef_witness(m: &Kripke, from: StateId, target: &BitSet) -> Option<Vec<Stat
 /// A lasso from `from` that stays inside `good` forever, or `None`.
 /// Witnesses `EG good` at `from`; `good` must be the `EG` fixpoint (every
 /// state of `good` has a successor in `good`), e.g. the output of
-/// [`crate::ctl::eg`].
+/// [`crate::fair::eg_fair`].
 pub fn eg_witness(m: &Kripke, from: StateId, good: &BitSet) -> Option<Lasso> {
     if !good.contains(from.idx()) {
         return None;

@@ -236,18 +236,12 @@ mod tests {
         // the constraint "client 1 is served infinitely often or is not
         // requesting", guaranteed service holds.
         use icstar_kripke::bits::BitSet;
-        use icstar_mc::fair::{af_fair, FairReq, TransFairness};
+        use icstar_mc::fair::{FairReq, TransFairness};
 
         let m = client_server(3);
         let k = m.kripke();
         let srv1 = Atom::indexed("srv", 1);
         let req1 = Atom::indexed("req", 1);
-        let srv1_set = BitSet::from_iter_with_capacity(
-            k.num_states(),
-            k.states()
-                .filter(|&s| k.satisfies_atom(s, &srv1))
-                .map(|s| s.idx()),
-        );
         let not_req1_or_served = BitSet::from_iter_with_capacity(
             k.num_states(),
             k.states()
@@ -261,7 +255,9 @@ mod tests {
         // Fair AF: from every state where client 1 requests, every FAIR
         // path serves it.
         let fair = TransFairness::new([FairReq::new(not_req1_or_served, [])]);
-        let fair_af_srv1 = af_fair(k, &srv1_set, &fair);
+        let fair_af_srv1 = icstar_mc::Checker::fair(k, &fair)
+            .sat(&icstar_logic::parse_state("AF srv[1]").unwrap())
+            .unwrap();
         for s in k.states() {
             if k.satisfies_atom(s, &req1) {
                 assert!(

@@ -41,9 +41,11 @@ pub struct ServeConfig {
     pub cache_budget_states: u64,
     /// The registry this service's metrics land in (`serve.*`, plus the
     /// `sym.*` metrics of every engine the workers run). Defaults to a
-    /// **fresh** registry so colocated services never mix counters; pass
-    /// `Registry::global().clone()` to publish into the process-wide
-    /// registry instead.
+    /// **fresh** registry. Give each service its own registry: the
+    /// cache and the flight recorder adopt their counters under fixed
+    /// names, so [`VerifyService::start`] on a registry another service
+    /// already publishes into panics in `Registry::adopt_counter`. The
+    /// process-wide `Registry::global()` suits one service per process.
     pub telemetry: Registry,
     /// The flight recorder every job's spans land in — the ring the
     /// `TRACE` wire command reads. Defaults to a fresh recorder with

@@ -31,7 +31,6 @@ use icstar_logic::{
     expand_representatives, fair_fragment_depth, has_index_quantifier, restricted_depth,
     PathFormula, StateFormula,
 };
-use icstar_mc::fair::{FairChecker, TransFairness};
 use icstar_mc::Checker;
 use icstar_telemetry::{FlightRecorder, Registry, SpanContext};
 
@@ -54,9 +53,10 @@ pub struct CheckRun {
     pub rep_width: u32,
     /// Whether path quantifiers ranged over *fair* paths only — true
     /// exactly when the template declares weak-fairness constraints
-    /// ([`GuardedTemplate::is_fair`]), in which case the verdict came
-    /// from the fair checker over the compiled
-    /// [`icstar_mc::fair::TransFairness`].
+    /// ([`GuardedTemplate::is_fair`]), in which case the formula was
+    /// gated to the CTL fragment and checked under the compiled
+    /// [`icstar_mc::fair::TransFairness`] (every structure is checked by
+    /// [`Checker::fair`]; unfair templates compile to no requirements).
     pub fair: bool,
 }
 
@@ -441,15 +441,13 @@ impl SymSession<'_> {
             )));
         }
         self.engine.validate_plain_atoms(&used)?;
-        let fair = self.engine.template.is_fair();
-        if fair {
+        if self.engine.template.is_fair() {
             // Path quantifiers range over fair paths: gate to the CTL
-            // fragment the fair checker supports, then evaluate against
-            // the compiled requirements.
+            // fragment the checker supports under requirements.
             fair_fragment_depth(f)?;
         }
         let g = self.counter_ref();
-        run_checker(&g.kripke, &g.fairness, fair, f)
+        Ok(Checker::fair(&g.kripke, &g.fairness).holds(f)?)
     }
 
     /// Checks a closed k-restricted ICTL* formula through the
@@ -483,7 +481,7 @@ impl SymSession<'_> {
         if self.n == 0 {
             let expanded = icstar_mc::expand(f, &[]);
             let g = self.counter_ref();
-            let holds = run_checker(&g.kripke, &g.fairness, fair, &expanded)?;
+            let holds = Checker::fair(&g.kripke, &g.fairness).holds(&expanded)?;
             return Ok(CheckRun {
                 holds,
                 rep_width: 0,
@@ -501,7 +499,7 @@ impl SymSession<'_> {
         // (distinct-index case split), then model-check the closed
         // constant-indexed formula on the width-`width` structure.
         let expanded = expand_representatives(f, width);
-        let holds = run_checker(rep.kripke.kripke(), &rep.fairness, fair, &expanded)?;
+        let holds = Checker::fair(rep.kripke.kripke(), &rep.fairness).holds(&expanded)?;
         Ok(CheckRun {
             holds,
             rep_width: width,
@@ -523,22 +521,6 @@ impl SymSession<'_> {
         }
         Ok(self.reps.get(&width).expect("just materialized"))
     }
-}
-
-/// The one checker dispatch: under fairness path quantifiers range over
-/// fair paths only ([`FairChecker`], CTL-shaped — callers gate the
-/// fragment first); otherwise the full CTL* [`Checker`] runs.
-fn run_checker(
-    kripke: &Kripke,
-    fairness: &TransFairness,
-    fair: bool,
-    f: &StateFormula,
-) -> Result<bool, SymError> {
-    Ok(if fair {
-        FairChecker::new(kripke, fairness).holds(f)?
-    } else {
-        Checker::new(kripke).holds(f)?
-    })
 }
 
 /// The atoms appearing in a formula, by kind.

@@ -46,7 +46,8 @@ use icstar_kripke::bits::BitSet;
 use icstar_kripke::{IndexedKripke, Kripke};
 use icstar_logic::StateFormula;
 use icstar_mc::expand;
-use icstar_mc::fair::{FairChecker, FairReq, TransFairness};
+use icstar_mc::fair::{FairReq, TransFairness};
+use icstar_mc::Checker;
 
 use crate::counter::{CounterState, PackedCounter};
 use crate::crosscheck::{full_relabel, guarded_interleave_with_states, occupancy};
@@ -260,8 +261,8 @@ pub fn explicit_fairness(t: &GuardedTemplate, states: &[Vec<u32>]) -> TransFairn
 ///
 /// # Errors
 ///
-/// [`SymError::Mc`] when `f` falls outside the fair checker's CTL
-/// fragment (or is not closed after expansion).
+/// [`SymError::Mc`] when the template declares fairness and `f` falls
+/// outside the CTL fragment (or when `f` is not closed after expansion).
 pub fn check_fair_explicit(
     t: &GuardedTemplate,
     n: u32,
@@ -272,7 +273,7 @@ pub fn check_fair_explicit(
     let fair = explicit_fairness(t, &states);
     let relabeled = full_relabel(explicit.kripke(), spec);
     let expanded = expand(f, explicit.indices());
-    FairChecker::new(&relabeled, &fair)
+    Checker::fair(&relabeled, &fair)
         .holds(&expanded)
         .map_err(SymError::from)
 }
@@ -282,7 +283,6 @@ mod tests {
     use super::*;
     use crate::template::GuardedBuilder;
     use icstar_logic::parse_state;
-    use icstar_mc::Checker;
 
     /// Two states, a stutter loop on `idle`, one exit `idle -> done`,
     /// `done` absorbing — liveness `AF done_ge1` fails plainly (stutter
@@ -312,7 +312,7 @@ mod tests {
                 "plainly fails at n = {n}"
             );
             assert!(
-                FairChecker::new(&g.kripke, &g.fairness).holds(&f).unwrap(),
+                Checker::fair(&g.kripke, &g.fairness).holds(&f).unwrap(),
                 "fairly holds at n = {n}"
             );
         }
@@ -346,11 +346,9 @@ mod tests {
             let sys = CounterSystem::new(t.clone(), n);
             let f = parse_state("AF (idle_eq0)").unwrap();
             let cg = counter_graph(&sys, &spec);
-            let counter_verdict = FairChecker::new(&cg.kripke, &cg.fairness)
-                .holds(&f)
-                .unwrap();
+            let counter_verdict = Checker::fair(&cg.kripke, &cg.fairness).holds(&f).unwrap();
             let rg = rep_graph(&sys, &spec, 1).unwrap();
-            let rep_verdict = FairChecker::new(rg.kripke.kripke(), &rg.fairness)
+            let rep_verdict = Checker::fair(rg.kripke.kripke(), &rg.fairness)
                 .holds(&f)
                 .unwrap();
             let explicit_verdict = check_fair_explicit(&t, n, &spec, &f).unwrap();
@@ -376,7 +374,7 @@ mod tests {
         // in particular — another copy may take the exit forever — until
         // all others are done, after which only the tracked copy's exit
         // remains in the group. So group fairness does imply AF done[1].
-        assert!(FairChecker::new(rg.kripke.kripke(), &rg.fairness)
+        assert!(Checker::fair(rg.kripke.kripke(), &rg.fairness)
             .holds(&f)
             .unwrap());
         // And the explicit oracle agrees quantifier-wise.
@@ -415,7 +413,7 @@ mod tests {
             let g = counter_graph(&sys, &spec);
             assert!(!Checker::new(&g.kripke).holds(&f).unwrap(), "n = {n}");
             assert!(
-                FairChecker::new(&g.kripke, &g.fairness).holds(&f).unwrap(),
+                Checker::fair(&g.kripke, &g.fairness).holds(&f).unwrap(),
                 "n = {n}"
             );
             assert!(check_fair_explicit(&t, n, &spec, &f).unwrap(), "n = {n}");

@@ -62,7 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // or stops requesting — the classic scheduler fairness assumption.
     use icstar::icstar_kripke::bits::BitSet;
     use icstar::icstar_kripke::Atom;
-    use icstar::icstar_mc::fair::{af_fair, FairReq, TransFairness};
+    use icstar::icstar_mc::fair::{FairReq, TransFairness};
+    use icstar::{parse_state, Checker};
     let m = client_server(3);
     let k = m.kripke();
     let srv1 = Atom::indexed("srv", 1);
@@ -73,14 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .filter(|&s| !k.satisfies_atom(s, &req1) || k.satisfies_atom(s, &srv1))
             .map(|s| s.idx()),
     );
-    let srv1_set = BitSet::from_iter_with_capacity(
-        k.num_states(),
-        k.states()
-            .filter(|&s| k.satisfies_atom(s, &srv1))
-            .map(|s| s.idx()),
-    );
     let fair = TransFairness::new([FairReq::new(fair_set, [])]);
-    let fair_af = af_fair(k, &srv1_set, &fair);
+    let fair_af = Checker::fair(k, &fair).sat(&parse_state("AF srv[1]")?)?;
     let guaranteed = k
         .states()
         .filter(|&s| k.satisfies_atom(s, &req1))

@@ -3,11 +3,16 @@
 //! The serialization path (print + parse of jobs) must stay negligible
 //! next to verification itself, and the TCP front-end's per-job overhead
 //! must stay in microseconds — the round trip here includes submit,
-//! queue, check at a tiny size, and report streaming.
+//! queue, check at a tiny size, and report streaming. The
+//! `serve/identity` group times the service's workload-identity layer
+//! underneath: a structure-cache hit and a certificate-answered job.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use icstar::{parse_state, ServeConfig, VerifyJob, VerifyService};
-use icstar_sym::{mutex_template, ring_station_template};
+use icstar_serve::GraphCache;
+use icstar_sym::{
+    barrier_template, mutex_template, ring_station_template, CountingSpec, SymEngine,
+};
 use icstar_wire::{parse_job, print_job, WireClient, WireServer};
 
 fn demo_job(sizes: &[u32]) -> VerifyJob {
@@ -111,10 +116,64 @@ fn bench_concurrent_load(c: &mut Criterion) {
     group.finish();
 }
 
+/// The service's workload-identity layer: a warmed `GraphCache::counter`
+/// hit (encode the workload, look it up), and a bounded in-process job
+/// answered entirely from a cached cutoff certificate (no structure is
+/// built or checked).
+fn bench_identity(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve/identity");
+    group.sample_size(100);
+    for (name, template, n) in [
+        ("mutex", mutex_template(), 100),
+        ("ring24", ring_station_template(24, 3), 3),
+    ] {
+        let spec = CountingSpec::standard(&template);
+        let engine = SymEngine::with_spec(template.clone(), spec.clone());
+        let cache = GraphCache::new(ServeConfig::default().cache_shards);
+        cache.counter(&template, &spec, n, || engine.counter_graph(n));
+        group.bench_function(format!("cache-hit/{name}"), |b| {
+            b.iter(|| {
+                cache.counter(black_box(&template), &spec, n, || {
+                    unreachable!("the cache is warm")
+                })
+            })
+        });
+    }
+
+    let service = VerifyService::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    for (name, template, src) in [
+        ("mutex", mutex_template(), "AG !crit_ge2"),
+        (
+            "barrier",
+            barrier_template(),
+            "AG (phase1_ge1 -> phase0_eq0)",
+        ),
+    ] {
+        let f = parse_state(src).unwrap();
+        let certify = VerifyJob::new(template.clone())
+            .all_sizes_from(1)
+            .formula(name, f.clone());
+        assert!(service.submit(certify).wait().unwrap().all_hold());
+        let bounded = VerifyJob::new(template).at_size(1_000_000).formula(name, f);
+        group.bench_function(format!("cert-answer/{name}"), |b| {
+            b.iter(|| {
+                let report = service.submit(bounded.clone()).wait().unwrap();
+                assert!(report.verdicts[0].cutoff.is_some());
+                report
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_print_parse,
     bench_socket_round_trip,
-    bench_concurrent_load
+    bench_concurrent_load,
+    bench_identity
 );
 criterion_main!(benches);

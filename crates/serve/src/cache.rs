@@ -9,17 +9,19 @@
 //! family share one copy and repeated queries are near-free. Counter
 //! graphs carry width 0; representative structures carry their number of
 //! tracked copies, so a depth-1 and a depth-2 structure of the same
-//! family never collide. Fairness declarations are part of the template
-//! fingerprint, so a fair template and its unconstrained twin never
-//! share an entry either.
+//! family never collide. Fairness declarations are part of the workload
+//! encoding, so a fair template and its unconstrained twin never share
+//! an entry either.
 //!
-//! Identity is **structural, verified**: entries are bucketed by the
-//! fast 64-bit [`CacheKey`] ([`GuardedTemplate::fingerprint`] /
-//! [`CountingSpec::fingerprint`]), but a hit is only declared after a
-//! full structural equality check of the template and spec — a
-//! fingerprint collision costs one extra bucket entry, never a wrong
-//! structure. (A verification service must not return confidently wrong
-//! verdicts because two workloads happened to share a hash.)
+//! Identity is the workload's **canonical encoding**
+//! ([`icstar_sym::workload_bytes`]): an entry is keyed by the exact
+//! bytes plus `n` and `width`, and the encoding is injective, so two
+//! workloads share an entry only when they are equal. A digest of the
+//! bytes, computed once per workload, only picks the shard and the
+//! hash-table slot; a digest collision costs a byte comparison, never a
+//! wrong structure. (A
+//! verification service must not return confidently wrong verdicts
+//! because two workloads happened to share a hash.)
 //!
 //! Growth is **bounded, by weight**: an optional budget caps the total
 //! abstract-state count across materialized entries
@@ -45,70 +47,79 @@
 //!   [`Mutex`]-protected maps (hash-picked), so unrelated lookups never
 //!   contend;
 //! * each entry holds an [`OnceLock`] slot inserted *before* building.
-//!   The map lock is held only for the bucket scan; the build itself runs
+//!   The map lock is held only for the lookup; the build itself runs
 //!   outside it. A second worker requesting a structure mid-build finds
 //!   the slot and blocks on the `OnceLock` until the first build lands —
 //!   every structure is built **exactly once**, and builds of different
 //!   structures proceed in parallel.
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use icstar_sym::{CounterGraph, CountingSpec, GuardedTemplate, RepGraph, SymError};
+use icstar_sym::{workload_bytes, CounterGraph, CountingSpec, GuardedTemplate, RepGraph, SymError};
 use icstar_telemetry::{Counter, Registry};
 
 use crate::spill::SpillStore;
 
-/// The bucket key of one family: fingerprints plus size and
-/// representative width (0 = the counter graph). Fast to hash and
-/// compare; entries under one key are disambiguated structurally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// [`GuardedTemplate::fingerprint`] of the template.
-    pub template: u64,
-    /// [`CountingSpec::fingerprint`] of the labeling.
-    pub spec: u64,
-    /// The family size.
-    pub n: u32,
-    /// Distinguished copies tracked by the structure: 0 for the counter
-    /// graph, `k ≥ 1` for a width-`k` representative structure.
-    pub width: u32,
+/// A workload's identity: its canonical bytes
+/// ([`icstar_sym::workload_bytes`]), shared, and a digest of them.
+/// Equality compares the bytes; the digest, computed once, is only the
+/// hash. Cheap to clone, so a job encodes its workload once and keys
+/// every lookup on it.
+#[derive(Clone, Debug)]
+pub(crate) struct Workload {
+    bytes: Arc<[u8]>,
+    digest: u64,
 }
 
-impl CacheKey {
-    /// The key of `template` with labeling `spec` at size `n` and
-    /// representative width `width`.
-    pub fn of(template: &GuardedTemplate, spec: &CountingSpec, n: u32, width: u32) -> Self {
-        CacheKey {
-            template: template.fingerprint(),
-            spec: spec.fingerprint(),
-            n,
-            width,
+impl Workload {
+    pub(crate) fn of(template: &GuardedTemplate, spec: &CountingSpec) -> Self {
+        let bytes: Arc<[u8]> = workload_bytes(template, spec).into();
+        let mut h = DefaultHasher::new();
+        bytes.hash(&mut h);
+        Workload {
+            digest: h.finish(),
+            bytes,
         }
     }
 }
 
+impl PartialEq for Workload {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for Workload {}
+
+impl Hash for Workload {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+/// A structure's key: the workload, the family size, and the
+/// representative width (0 = the counter graph).
+type Key = (Workload, u32, u32);
+
 /// A build-once slot: filled exactly once, then shared.
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, SymError>>>;
 
-/// One verified entry: the workload it is for, its slot, and when it was
-/// last returned (logical clock; drives LRU eviction).
+/// One entry: its slot, and when it was last returned (logical clock;
+/// drives LRU eviction).
 struct Entry<T> {
-    template: GuardedTemplate,
-    spec: CountingSpec,
     slot: Slot<T>,
     last_used: u64,
 }
 
-/// One sharded key→bucket map.
+/// One sharded key→entry map.
 struct Memo<T> {
-    shards: Vec<Mutex<HashMap<CacheKey, Vec<Entry<T>>>>>,
+    shards: Vec<Mutex<HashMap<Key, Entry<T>>>>,
 }
 
-fn shard_index(key: &CacheKey, shards: usize) -> usize {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
+fn shard_index(key: &Key, shards: usize) -> usize {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() % shards as u64) as usize
@@ -123,41 +134,30 @@ impl<T> Memo<T> {
         }
     }
 
-    /// The verified slot for the workload, and whether this call created
-    /// it. Fingerprint-colliding workloads get separate bucket entries.
-    /// Stamps the entry's recency with `now`.
-    fn slot(
-        &self,
-        key: CacheKey,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        now: u64,
-    ) -> (Slot<T>, bool) {
-        let shard = shard_index(&key, self.shards.len());
+    /// The slot for `key`, and whether this call created it. Stamps the
+    /// entry's recency with `now`.
+    fn slot(&self, key: &Key, now: u64) -> (Slot<T>, bool) {
+        let shard = shard_index(key, self.shards.len());
         let mut map = self.shards[shard].lock().expect("cache shard poisoned");
-        let bucket = map.entry(key).or_default();
-        for entry in bucket.iter_mut() {
-            if entry.template == *template && entry.spec == *spec {
-                entry.last_used = now;
-                return (Arc::clone(&entry.slot), false);
-            }
+        if let Some(entry) = map.get_mut(key) {
+            entry.last_used = now;
+            return (Arc::clone(&entry.slot), false);
         }
         let slot: Slot<T> = Arc::new(OnceLock::new());
-        bucket.push(Entry {
-            template: template.clone(),
-            spec: spec.clone(),
-            slot: Arc::clone(&slot),
-            last_used: now,
-        });
+        map.insert(
+            key.clone(),
+            Entry {
+                slot: Arc::clone(&slot),
+                last_used: now,
+            },
+        );
         (slot, true)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn get_or_build(
         &self,
-        key: CacheKey,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
+        key: &Key,
         now: u64,
         hits: &Counter,
         misses: &Counter,
@@ -166,7 +166,7 @@ impl<T> Memo<T> {
         size: impl Fn(&T) -> usize,
         build: impl FnOnce() -> Result<T, SymError>,
     ) -> Result<Arc<T>, SymError> {
-        let (slot, created) = self.slot(key, template, spec, now);
+        let (slot, created) = self.slot(key, now);
         if created {
             misses.inc();
         } else {
@@ -193,13 +193,7 @@ impl<T> Memo<T> {
     fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("cache shard poisoned")
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
+            .map(|s| s.lock().expect("cache shard poisoned").len())
             .sum()
     }
 
@@ -212,7 +206,6 @@ impl<T> Memo<T> {
                 s.lock()
                     .expect("cache shard poisoned")
                     .values()
-                    .flatten()
                     .filter_map(|e| e.slot.get())
                     .filter_map(|r| r.as_ref().ok())
                     .map(|t| size(t) as u64)
@@ -225,54 +218,43 @@ impl<T> Memo<T> {
     /// its stamp, key, and weight. In-flight and errored slots are never
     /// candidates (they weigh nothing, and evicting an in-flight build
     /// would lose the build-once guarantee).
-    fn lru_candidate(
-        &self,
-        keep: CacheKey,
-        size: &impl Fn(&T) -> usize,
-    ) -> Option<(u64, CacheKey, u64)> {
-        let mut best: Option<(u64, CacheKey, u64)> = None;
+    fn lru_candidate(&self, keep: &Key, size: &impl Fn(&T) -> usize) -> Option<(u64, Key, u64)> {
+        let mut best: Option<(u64, Key, u64)> = None;
         for shard in &self.shards {
             let map = shard.lock().expect("cache shard poisoned");
-            for (key, bucket) in map.iter() {
-                if *key == keep {
+            for (key, entry) in map.iter() {
+                if key == keep {
                     continue;
                 }
-                for entry in bucket {
-                    let Some(Ok(t)) = entry.slot.get() else {
-                        continue;
-                    };
-                    if best.is_none_or(|(stamp, ..)| entry.last_used < stamp) {
-                        best = Some((entry.last_used, *key, size(t) as u64));
-                    }
+                let Some(Ok(t)) = entry.slot.get() else {
+                    continue;
+                };
+                if best
+                    .as_ref()
+                    .is_none_or(|(stamp, ..)| entry.last_used < *stamp)
+                {
+                    best = Some((entry.last_used, key.clone(), size(t) as u64));
                 }
             }
         }
         best
     }
 
-    /// Removes the materialized entry under `key` stamped `stamp`,
-    /// returning its weight. `None` if a racing lookup re-stamped or a
-    /// racing eviction already removed it.
-    fn remove_stamped(
-        &self,
-        key: CacheKey,
-        stamp: u64,
-        size: &impl Fn(&T) -> usize,
-    ) -> Option<u64> {
-        let shard = shard_index(&key, self.shards.len());
+    /// Removes the materialized entry under `key` if it is still stamped
+    /// `stamp`, returning its weight. `None` if a racing lookup
+    /// re-stamped or a racing eviction already removed it.
+    fn remove_stamped(&self, key: &Key, stamp: u64, size: &impl Fn(&T) -> usize) -> Option<u64> {
+        let shard = shard_index(key, self.shards.len());
         let mut map = self.shards[shard].lock().expect("cache shard poisoned");
-        let bucket = map.get_mut(&key)?;
-        let idx = bucket
-            .iter()
-            .position(|e| e.last_used == stamp && matches!(e.slot.get(), Some(Ok(_))))?;
-        let entry = bucket.remove(idx);
-        if bucket.is_empty() {
-            map.remove(&key);
-        }
-        let weight = match entry.slot.get() {
-            Some(Ok(t)) => size(t) as u64,
-            _ => 0,
+        let entry = map.get(key)?;
+        let Some(Ok(t)) = entry.slot.get() else {
+            return None;
         };
+        if entry.last_used != stamp {
+            return None;
+        }
+        let weight = size(t) as u64;
+        map.remove(key);
         Some(weight)
     }
 }
@@ -401,13 +383,24 @@ impl GraphCache {
         n: u32,
         build: impl FnOnce() -> CounterGraph,
     ) -> Arc<CounterGraph> {
-        let key = CacheKey::of(template, spec, n, 0);
+        self.counter_for(&Workload::of(template, spec), template, spec, n, build)
+    }
+
+    /// [`GraphCache::counter`] for a caller that already encoded the
+    /// workload (`workload` must be `Workload::of(template, spec)`).
+    pub(crate) fn counter_for(
+        &self,
+        workload: &Workload,
+        template: &GuardedTemplate,
+        spec: &CountingSpec,
+        n: u32,
+        build: impl FnOnce() -> CounterGraph,
+    ) -> Arc<CounterGraph> {
+        let key = (workload.clone(), n, 0);
         let out = self
             .counter
             .get_or_build(
-                key,
-                template,
-                spec,
+                &key,
                 self.tick(),
                 &self.hits,
                 &self.misses,
@@ -427,7 +420,7 @@ impl GraphCache {
                 },
             )
             .expect("counter builds are infallible");
-        self.enforce_budget(key);
+        self.enforce_budget(&key);
         out
     }
 
@@ -453,11 +446,24 @@ impl GraphCache {
         width: u32,
         build: impl FnOnce() -> Result<RepGraph, SymError>,
     ) -> Result<Arc<RepGraph>, SymError> {
-        let key = CacheKey::of(template, spec, n, width);
+        let workload = Workload::of(template, spec);
+        self.representative_for(&workload, template, spec, n, width, build)
+    }
+
+    /// [`GraphCache::representative`] for a caller that already encoded
+    /// the workload (`workload` must be `Workload::of(template, spec)`).
+    pub(crate) fn representative_for(
+        &self,
+        workload: &Workload,
+        template: &GuardedTemplate,
+        spec: &CountingSpec,
+        n: u32,
+        width: u32,
+        build: impl FnOnce() -> Result<RepGraph, SymError>,
+    ) -> Result<Arc<RepGraph>, SymError> {
+        let key = (workload.clone(), n, width);
         let out = self.rep.get_or_build(
-            key,
-            template,
-            spec,
+            &key,
             self.tick(),
             &self.hits,
             &self.misses,
@@ -476,7 +482,7 @@ impl GraphCache {
                 build()
             },
         );
-        self.enforce_budget(key);
+        self.enforce_budget(&key);
         out
     }
 
@@ -487,7 +493,7 @@ impl GraphCache {
     /// instead, so under contention a just-built structure can still be
     /// chosen as someone else's LRU victim (costing a later rebuild,
     /// never a wrong answer — the holder's `Arc` stays valid).
-    fn enforce_budget(&self, just_used: CacheKey) {
+    fn enforce_budget(&self, just_used: &Key) {
         if self.budget_states == u64::MAX {
             return;
         }
@@ -505,10 +511,10 @@ impl GraphCache {
             let rep_victim = self.rep.lru_candidate(just_used, &rep_weight);
             let removed = match (counter_victim, rep_victim) {
                 (Some((cs, ck, _)), Some((rs, ..))) if cs <= rs => {
-                    self.counter.remove_stamped(ck, cs, &counter_weight)
+                    self.counter.remove_stamped(&ck, cs, &counter_weight)
                 }
-                (_, Some((rs, rk, _))) => self.rep.remove_stamped(rk, rs, &rep_weight),
-                (Some((cs, ck, _)), None) => self.counter.remove_stamped(ck, cs, &counter_weight),
+                (_, Some((rs, rk, _))) => self.rep.remove_stamped(&rk, rs, &rep_weight),
+                (Some((cs, ck, _)), None) => self.counter.remove_stamped(&ck, cs, &counter_weight),
                 (None, None) => {
                     // Nothing evictable besides the entry in use: stop
                     // scanning until the entry set changes.
@@ -680,8 +686,7 @@ mod tests {
 
     #[test]
     fn structurally_different_workloads_never_share_a_slot() {
-        // Same fingerprint bucket or not, a differing template or spec
-        // must build its own structure.
+        // A differing template or spec must build its own structure.
         let cache = GraphCache::new(4);
         let t = mutex_template();
         let s1 = std_spec();
@@ -715,13 +720,13 @@ mod tests {
         };
         let plain = stutter(false);
         let fair = stutter(true);
+        let spec = CountingSpec::standard(&plain);
         assert_ne!(
-            plain.fingerprint(),
-            fair.fingerprint(),
-            "fairness must be fingerprinted"
+            workload_bytes(&plain, &spec),
+            workload_bytes(&fair, &spec),
+            "fairness must be encoded"
         );
         let cache = GraphCache::new(2);
-        let spec = CountingSpec::standard(&plain);
         let ep = SymEngine::with_spec(plain.clone(), spec.clone());
         let ef = SymEngine::with_spec(fair.clone(), spec.clone());
         let a = cache.counter(&plain, &spec, 4, || ep.counter_graph(4));
@@ -734,11 +739,10 @@ mod tests {
 
     #[test]
     fn broadcast_response_maps_never_collide_in_the_cache() {
-        // Regression: template fingerprints must incorporate broadcast
+        // Regression: the workload encoding must incorporate broadcast
         // moves. Two templates differing *only* in a broadcast response
-        // map are different workloads — they must land in different
-        // buckets (distinct fingerprints) and each must build its own
-        // structure (two misses, no hit).
+        // map are different workloads — they must encode differently
+        // and each must build its own structure (two misses, no hit).
         use icstar_sym::GuardedBuilder;
         let with_response = |resp: u32| {
             let mut b = GuardedBuilder::new();
@@ -753,20 +757,20 @@ mod tests {
         };
         let t1 = with_response(0);
         let t2 = with_response(2);
+        let spec = CountingSpec::standard(&t1);
         assert_ne!(
-            t1.fingerprint(),
-            t2.fingerprint(),
-            "response maps must be fingerprinted"
+            workload_bytes(&t1, &spec),
+            workload_bytes(&t2, &spec),
+            "response maps must be encoded"
         );
         let cache = GraphCache::new(2);
-        let spec = CountingSpec::standard(&t1);
         let e1 = SymEngine::with_spec(t1.clone(), spec.clone());
         let e2 = SymEngine::with_spec(t2.clone(), spec.clone());
         let a = cache.counter(&t1, &spec, 4, || e1.counter_graph(4));
         let b = cache.counter(&t2, &spec, 4, || e2.counter_graph(4));
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // And asking again for each is a verified hit on its own entry.
+        // And asking again for each is a hit on its own entry.
         let a2 = cache.counter(&t1, &spec, 4, || unreachable!("cached"));
         assert!(Arc::ptr_eq(&a, &a2));
         assert_eq!((cache.hits(), cache.misses()), (1, 2));

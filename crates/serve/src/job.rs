@@ -9,8 +9,9 @@ use icstar_sym::{CountingSpec, GuardedTemplate, SymError};
 ///
 /// Jobs are self-contained (they own their template), so any number of
 /// callers can submit overlapping workloads; the service deduplicates the
-/// expensive part — materialized counter graphs — structurally, through
-/// the [fingerprint](GuardedTemplate::fingerprint)-keyed cache.
+/// expensive part — materialized counter graphs — through a cache keyed
+/// on the workload's canonical encoding
+/// ([`workload_bytes`](icstar_sym::workload_bytes)).
 ///
 /// # Examples
 ///

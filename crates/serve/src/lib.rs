@@ -37,9 +37,10 @@
 //!   [`VerdictReport`] back through its handle. Submission never blocks
 //!   on verification.
 //! * **Cache.** Workers obtain materialized structures through
-//!   [`GraphCache`], keyed **structurally** by
-//!   `(`[`GuardedTemplate::fingerprint`]`, `[`CountingSpec::fingerprint`]`, n)`
-//!   — so independently-built but equal workloads share entries. Entries
+//!   [`GraphCache`], keyed by the workload's canonical bytes
+//!   ([`icstar_sym::workload_bytes`]) plus `n` and the representative
+//!   width — so independently-built but equal workloads share entries,
+//!   and unequal ones never do. Entries
 //!   are built exactly once (concurrent requesters block on the in-flight
 //!   build, then share the [`Arc`](std::sync::Arc)); hit/miss counts are
 //!   reported in [`StatsSnapshot`].
@@ -49,7 +50,7 @@
 //!   so a single big build also uses all cores.
 //! * **Persistence.** With [`ServeConfig::cache_dir`] set, the cache is
 //!   backed by a [`SpillStore`]: materialized structures spill to
-//!   versioned, checksummed files keyed by workload fingerprints, and a
+//!   versioned, checksummed files named by workload fingerprints, and a
 //!   memory miss probes the disk before exploring — restarts and
 //!   horizontally-scaled replicas warm-start instead of re-exploring
 //!   (metered as `serve.cache.{spills,restores,restore_rejects}`).
@@ -82,9 +83,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! [`GuardedTemplate::fingerprint`]: icstar_sym::GuardedTemplate::fingerprint
-//! [`CountingSpec::fingerprint`]: icstar_sym::CountingSpec::fingerprint
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -96,7 +94,7 @@ mod service;
 pub mod spill;
 mod stats;
 
-pub use cache::{CacheKey, GraphCache};
+pub use cache::GraphCache;
 pub use job::{JobVerdict, VerdictReport, VerifyJob};
 pub use service::{JobHandle, ServeConfig, ServeError, VerifyService};
 pub use spill::SpillStore;

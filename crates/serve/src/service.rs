@@ -14,7 +14,7 @@ use icstar_telemetry::{
     FlightRecorder, Registry, SpanContext, TelemetrySnapshot, TraceId, TraceScope,
 };
 
-use crate::cache::GraphCache;
+use crate::cache::{GraphCache, Workload};
 use crate::certs::CertStore;
 use crate::job::{JobVerdict, VerdictReport, VerifyJob};
 use crate::stats::{ServiceStats, StatsSnapshot};
@@ -514,15 +514,18 @@ fn process(
     let spec = spec.unwrap_or_else(|| CountingSpec::standard(&template));
     let engine =
         SymEngine::with_spec(template, spec).with_telemetry(inner.config.telemetry.clone());
+    // Encoded once: every cache and certificate lookup of the job keys
+    // on these bytes.
+    let workload = Workload::of(engine.template(), engine.spec());
     let mut build_time = Duration::ZERO;
     let mut check_time = Duration::ZERO;
 
     // Certificates previously paid for (by an unbounded job on the same
-    // triple) answer bounded sizes for free. Lookup only: a plain
-    // `sizes` job never triggers the certification scan itself.
+    // workload and formula) answer bounded sizes for free. Lookup only:
+    // a plain `sizes` job never triggers the certification scan itself.
     let cached_certs: Vec<Option<icstar_sym::CutoffCertificate>> = formulas
         .iter()
-        .map(|(_, f)| inner.certs.cached(&engine, f).and_then(Result::ok))
+        .map(|(_, f)| inner.certs.cached(&workload, f).and_then(Result::ok))
         .collect();
 
     let recorder = &inner.config.recorder;
@@ -551,12 +554,13 @@ fn process(
             lookup.attr("kind", "counter");
             lookup.attr("n", n.to_string());
             let built = Cell::new(false);
-            let graph = inner
-                .cache
-                .counter(engine.template(), engine.spec(), n, || {
-                    built.set(true);
-                    materialize(inner, &engine, n, root, worker)
-                });
+            let graph =
+                inner
+                    .cache
+                    .counter_for(&workload, engine.template(), engine.spec(), n, || {
+                        built.set(true);
+                        materialize(inner, &engine, n, root, worker)
+                    });
             build_time += finish_lookup(lookup, built.get(), &inner.stats);
             session.seed_counter(graph);
         }
@@ -580,22 +584,26 @@ fn process(
                 lookup.attr("n", n.to_string());
                 lookup.attr("width", width.to_string());
                 let built = Cell::new(false);
-                let rep =
-                    inner
-                        .cache
-                        .representative(engine.template(), engine.spec(), n, width, || {
-                            built.set(true);
-                            let mut build = recorder.scope_under(root, "build");
-                            build.set_tid(worker);
-                            build.attr("kind", "representative");
-                            build.attr("n", n.to_string());
-                            build.attr("width", width.to_string());
-                            let rep = engine.representative_graph(n, width);
-                            if let Ok(rep) = &rep {
-                                size_attrs(&mut build, rep.kripke.kripke());
-                            }
-                            rep
-                        });
+                let rep = inner.cache.representative_for(
+                    &workload,
+                    engine.template(),
+                    engine.spec(),
+                    n,
+                    width,
+                    || {
+                        built.set(true);
+                        let mut build = recorder.scope_under(root, "build");
+                        build.set_tid(worker);
+                        build.attr("kind", "representative");
+                        build.attr("n", n.to_string());
+                        build.attr("width", width.to_string());
+                        let rep = engine.representative_graph(n, width);
+                        if let Ok(rep) = &rep {
+                            size_attrs(&mut build, rep.kripke.kripke());
+                        }
+                        rep
+                    },
+                );
                 build_time += finish_lookup(lookup, built.get(), &inner.stats);
                 if let Ok(rep) = rep {
                     session.seed_representative(width, rep);
@@ -631,6 +639,7 @@ fn process(
     if let Some(lo) = all_from {
         process_unbounded(
             inner,
+            &workload,
             &engine,
             lo,
             &formulas,
@@ -663,6 +672,7 @@ fn process(
 #[allow(clippy::too_many_arguments)]
 fn process_unbounded(
     inner: &Inner,
+    workload: &Workload,
     engine: &SymEngine,
     lo: u32,
     formulas: &[(String, StateFormula)],
@@ -676,7 +686,9 @@ fn process_unbounded(
         let mut certify = recorder.scope_under(root, "certify");
         certify.set_tid(worker);
         certify.attr("formula", i.to_string());
-        let outcome = inner.certs.get_or_certify(engine, f, &inner.stats);
+        let outcome = inner
+            .certs
+            .get_or_certify(workload, engine, f, &inner.stats);
         certify.attr(
             "outcome",
             if outcome.is_ok() {

@@ -2,11 +2,13 @@
 //! materialized structures.
 //!
 //! A [`SpillStore`] is a directory of spill files, one per materialized
-//! [`CounterGraph`] / [`RepGraph`], named by the workload's cache key
-//! (`fingerprint`s, `n`, `width`). On a cache miss the store is probed
-//! first; a valid file reconstructs the bundle without re-exploration —
-//! restarts and horizontally-scaled replicas warm-start from the same
-//! directory instead of re-building multi-million-state structures.
+//! [`CounterGraph`] / [`RepGraph`], named by the template and spec
+//! fingerprints ([`GuardedTemplate::fingerprint`],
+//! [`CountingSpec::fingerprint`]), `n` and `width`. On a cache miss the
+//! store is probed first; a valid file reconstructs the bundle without
+//! re-exploration — restarts and horizontally-scaled replicas
+//! warm-start from the same directory instead of re-building
+//! multi-million-state structures.
 //!
 //! The on-disk format is **versioned and checksummed**:
 //!
@@ -20,18 +22,17 @@
 //! checksum u64 LE   FNV-1a over the payload
 //! ```
 //!
-//! The payload starts with a **canonical encoding of the workload**
-//! (template and spec, injectively serialized), not just its
-//! fingerprints: on restore the stored workload bytes are compared to
-//! the requested workload's encoding, so a fingerprint collision can
-//! cost a rejected file but never a wrong structure — the same
-//! verified-identity invariant the in-memory cache maintains. The graph
-//! bytes then encode the Kripke structure (state names, sorted label
-//! atoms, successor lists, initial state), the index set for
-//! representative structures, and the compiled [`TransFairness`]
-//! (per-requirement state bit sets and transition edge sets, both over
-//! the structure's dense state ids — state creation order is preserved
-//! on decode, so the indices stay valid).
+//! The payload starts with the workload's canonical encoding
+//! ([`workload_bytes`]), not just its fingerprints. These are the same
+//! bytes the in-memory cache and the certificate store key on. On
+//! restore the stored bytes must equal the requested workload's, so a
+//! fingerprint collision can cost a rejected file but never a wrong
+//! structure. The graph bytes then encode the Kripke structure (state
+//! names, sorted label atoms, successor lists, initial state), the index
+//! set for representative structures, and the compiled
+//! [`TransFairness`] (per-requirement state bit sets and transition edge
+//! sets, both over the structure's dense state ids — state creation
+//! order is preserved on decode, so the indices stay valid).
 //!
 //! **Any** defect — truncation, checksum mismatch, unknown version,
 //! wrong key, workload mismatch, malformed graph bytes — rejects the
@@ -47,7 +48,7 @@ use std::path::{Path, PathBuf};
 use icstar_kripke::bits::BitSet;
 use icstar_kripke::{Atom, IndexedKripke, Kripke, KripkeBuilder, StateId, CANONICAL_INDEX};
 use icstar_mc::fair::{FairReq, TransFairness};
-use icstar_sym::{CounterGraph, CountingSpec, Guard, GuardedTemplate, RepGraph};
+use icstar_sym::{fnv1a, workload_bytes, CounterGraph, CountingSpec, GuardedTemplate, RepGraph};
 use icstar_telemetry::Counter;
 
 /// The 8-byte file magic.
@@ -63,15 +64,6 @@ const KIND_REP: u8 = 1;
 /// atoms). Far above any graph the engine can materialize; prevents a
 /// corrupt length field from provoking an absurd allocation.
 const MAX_COUNT: u32 = 1 << 28;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------
 // Primitive encoding (little-endian, length-prefixed strings).
@@ -141,128 +133,6 @@ impl<'a> Cursor<'a> {
     fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
-}
-
-// ---------------------------------------------------------------------
-// Canonical workload encoding (injective: equal bytes ⇔ equal workload).
-// ---------------------------------------------------------------------
-
-fn encode_guard(out: &mut Vec<u8>, g: &Guard) {
-    match g {
-        Guard::AtMost(p, k) => {
-            put_u8(out, 0);
-            put_str(out, p);
-            put_u32(out, *k);
-        }
-        Guard::AtLeast(p, k) => {
-            put_u8(out, 1);
-            put_str(out, p);
-            put_u32(out, *k);
-        }
-        Guard::StateAtMost(q, k) => {
-            put_u8(out, 2);
-            put_u32(out, *q);
-            put_u32(out, *k);
-        }
-        Guard::StateAtLeast(q, k) => {
-            put_u8(out, 3);
-            put_u32(out, *q);
-            put_u32(out, *k);
-        }
-        Guard::Equals(p, k) => {
-            put_u8(out, 4);
-            put_str(out, p);
-            put_u32(out, *k);
-        }
-        Guard::InRange(p, lo, hi) => {
-            put_u8(out, 5);
-            put_str(out, p);
-            put_u32(out, *lo);
-            put_u32(out, *hi);
-        }
-        Guard::StateEquals(q, k) => {
-            put_u8(out, 6);
-            put_u32(out, *q);
-            put_u32(out, *k);
-        }
-        Guard::StateInRange(q, lo, hi) => {
-            put_u8(out, 7);
-            put_u32(out, *q);
-            put_u32(out, *lo);
-            put_u32(out, *hi);
-        }
-    }
-}
-
-/// The canonical byte encoding of a workload (template + spec), used
-/// for verified restore. Injective: every field of the template —
-/// states, labels, guarded edges, broadcasts with response maps,
-/// fairness declarations — and of the spec is serialized with length
-/// prefixes, so distinct workloads never encode to the same bytes.
-pub fn workload_bytes(template: &GuardedTemplate, spec: &CountingSpec) -> Vec<u8> {
-    let mut out = Vec::new();
-    let n = template.num_states() as u32;
-    put_u32(&mut out, n);
-    put_u32(&mut out, template.initial());
-    for q in 0..n {
-        put_str(&mut out, template.state_name(q));
-        let labels = template.labels(q);
-        put_u32(&mut out, labels.len() as u32);
-        for l in labels {
-            put_str(&mut out, l);
-        }
-        let succs = template.successors(q);
-        put_u32(&mut out, succs.len() as u32);
-        for (k, &s) in succs.iter().enumerate() {
-            put_u32(&mut out, s);
-            let guards = template.guards(q, k);
-            put_u32(&mut out, guards.len() as u32);
-            for g in guards {
-                encode_guard(&mut out, g);
-            }
-        }
-    }
-    let broadcasts = template.broadcasts();
-    put_u32(&mut out, broadcasts.len() as u32);
-    for b in broadcasts {
-        put_u32(&mut out, b.source());
-        put_u32(&mut out, b.target());
-        put_u32(&mut out, b.guards().len() as u32);
-        for g in b.guards() {
-            encode_guard(&mut out, g);
-        }
-        put_u32(&mut out, b.response().len() as u32);
-        for &r in b.response() {
-            put_u32(&mut out, r);
-        }
-    }
-    let fairness = template.fairness();
-    put_u32(&mut out, fairness.len() as u32);
-    for f in fairness {
-        put_str(&mut out, f.name());
-        put_u32(&mut out, f.moves().len() as u32);
-        for &(a, b) in f.moves() {
-            put_u32(&mut out, a);
-            put_u32(&mut out, b);
-        }
-    }
-    let at_least: Vec<_> = spec.at_least_entries().collect();
-    put_u32(&mut out, at_least.len() as u32);
-    for (p, k) in at_least {
-        put_str(&mut out, p);
-        put_u32(&mut out, k);
-    }
-    let zero: Vec<_> = spec.zero_props().collect();
-    put_u32(&mut out, zero.len() as u32);
-    for p in zero {
-        put_str(&mut out, p);
-    }
-    let one: Vec<_> = spec.exactly_one_props().collect();
-    put_u32(&mut out, one.len() as u32);
-    for p in one {
-        put_str(&mut out, p);
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -686,10 +556,9 @@ impl SpillStore {
     }
 
     /// The stored workload bytes must equal the requested workload's
-    /// canonical encoding — the on-disk analogue of the cache's verified
-    /// structural identity.
+    /// canonical encoding — the bytes the in-memory cache keys on. The
+    /// caller counts the reject.
     fn verified_graph_cursor<'a>(
-        &self,
         payload: &'a [u8],
         template: &GuardedTemplate,
         spec: &CountingSpec,
@@ -697,11 +566,7 @@ impl SpillStore {
         let mut c = Cursor::new(payload);
         let len = c.count()? as usize;
         let stored = c.bytes(len)?;
-        if stored != workload_bytes(template, spec).as_slice() {
-            self.rejects.inc();
-            return None;
-        }
-        Some(c)
+        (stored == workload_bytes(template, spec).as_slice()).then_some(c)
     }
 
     /// Restores the counter graph of this workload from disk, or `None`
@@ -715,7 +580,7 @@ impl SpillStore {
         let path = self.counter_path(template, spec, n);
         let payload = self.read_payload(&path, &Self::counter_key(template, spec, n))?;
         let graph = (|| {
-            let mut c = self.verified_graph_cursor(&payload, template, spec)?;
+            let mut c = Self::verified_graph_cursor(&payload, template, spec)?;
             let kripke = decode_kripke(&mut c)?;
             let fairness = decode_fairness(&mut c, kripke.num_states() as u32)?;
             if !c.at_end() {
@@ -747,7 +612,7 @@ impl SpillStore {
         let path = self.rep_path(template, spec, n, width);
         let payload = self.read_payload(&path, &Self::rep_key(template, spec, n, width))?;
         let graph = (|| {
-            let mut c = self.verified_graph_cursor(&payload, template, spec)?;
+            let mut c = Self::verified_graph_cursor(&payload, template, spec)?;
             let kripke = decode_kripke(&mut c)?;
             let indices = decode_indices(&mut c)?;
             if !indices_cover_labels(&kripke, &indices) {

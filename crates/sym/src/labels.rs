@@ -21,7 +21,7 @@ use icstar_kripke::Atom;
 use icstar_logic::{build, StateFormula};
 
 use crate::counter::CounterState;
-use crate::fingerprint::Fnv;
+use crate::fingerprint::{encode_spec, fnv1a};
 use crate::template::GuardedTemplate;
 
 /// The plain atom `p_ge{k}` meaning `#p ≥ k`.
@@ -209,25 +209,14 @@ impl CountingSpec {
         atoms
     }
 
-    /// A stable 64-bit structural fingerprint: equal for equal specs,
-    /// across processes and runs. Combined with
-    /// [`GuardedTemplate::fingerprint`] and the family size, it keys the
-    /// `icstar-serve` memo cache.
+    /// A stable 64-bit fingerprint: FNV-1a over the spec section of the
+    /// canonical workload encoding
+    /// ([`workload_bytes`](crate::workload_bytes)); see
+    /// [`GuardedTemplate::fingerprint`].
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u32(self.at_least.len() as u32);
-        for (p, k) in &self.at_least {
-            h.str(p).u32(*k);
-        }
-        h.u32(self.zero.len() as u32);
-        for p in &self.zero {
-            h.str(p);
-        }
-        h.u32(self.exactly_one.len() as u32);
-        for p in &self.exactly_one {
-            h.str(p);
-        }
-        h.finish()
+        let mut bytes = Vec::new();
+        encode_spec(&mut bytes, self);
+        fnv1a(&bytes)
     }
 
     /// The atoms labeling the abstract state `counts` of `template`.
@@ -301,18 +290,28 @@ mod tests {
 
     #[test]
     fn spec_fingerprint_tracks_equality() {
+        let bytes = |spec: &CountingSpec| {
+            let mut out = Vec::new();
+            encode_spec(&mut out, spec);
+            out
+        };
         let t = mutex_template();
         assert_eq!(
-            CountingSpec::standard(&t).fingerprint(),
-            CountingSpec::standard(&t).fingerprint()
+            bytes(&CountingSpec::standard(&t)),
+            bytes(&CountingSpec::standard(&t))
         );
         assert_ne!(
-            CountingSpec::standard(&t).fingerprint(),
-            CountingSpec::exhaustive(&t, 4).fingerprint()
+            bytes(&CountingSpec::standard(&t)),
+            bytes(&CountingSpec::exhaustive(&t, 4))
         );
         assert_ne!(
-            CountingSpec::new().with_zero("p").fingerprint(),
-            CountingSpec::new().with_exactly_one("p").fingerprint()
+            bytes(&CountingSpec::new().with_zero("p")),
+            bytes(&CountingSpec::new().with_exactly_one("p"))
+        );
+        assert_ne!(
+            bytes(&CountingSpec::new().with_at_least("p", 2)),
+            bytes(&CountingSpec::new().with_at_least("p", 3)),
+            "a threshold is part of the encoding"
         );
     }
 

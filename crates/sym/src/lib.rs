@@ -125,6 +125,7 @@ pub use explore::CounterSystem;
 pub use fairness::{
     check_fair_explicit, counter_graph, counter_graph_sharded, rep_graph, CounterGraph, RepGraph,
 };
+pub use fingerprint::{fnv1a, workload_bytes};
 pub use labels::CountingSpec;
 pub use rep::{representative, representative_with_states, RepState, REPRESENTATIVE_INDEX};
 pub use template::{

@@ -14,7 +14,7 @@
 use icstar_nets::{ProcessTemplate, TemplateBuilder};
 
 use crate::counter::CounterState;
-use crate::fingerprint::Fnv;
+use crate::fingerprint::{encode_template, fnv1a};
 
 /// A counting constraint on one local transition, evaluated on the
 /// occupancy vector of all copies (before the move).
@@ -111,39 +111,6 @@ impl Guard {
             | Guard::StateEquals(q, _)
             | Guard::StateInRange(q, _, _) => Some(*q),
             Guard::AtMost(..) | Guard::AtLeast(..) | Guard::Equals(..) | Guard::InRange(..) => None,
-        }
-    }
-
-    /// Feeds the guard into a fingerprint hasher. Discriminant tags are
-    /// append-only (never renumbered): fingerprints key the
-    /// `icstar-serve` memo cache, so two distinct guards must never hash
-    /// identically across versions of this enum.
-    fn hash_into(&self, h: &mut Fnv) {
-        match self {
-            Guard::AtMost(p, b) => {
-                h.u32(0).str(p).u32(*b);
-            }
-            Guard::AtLeast(p, b) => {
-                h.u32(1).str(p).u32(*b);
-            }
-            Guard::StateAtMost(s, b) => {
-                h.u32(2).u32(*s).u32(*b);
-            }
-            Guard::StateAtLeast(s, b) => {
-                h.u32(3).u32(*s).u32(*b);
-            }
-            Guard::Equals(p, b) => {
-                h.u32(4).str(p).u32(*b);
-            }
-            Guard::InRange(p, lo, hi) => {
-                h.u32(5).str(p).u32(*lo).u32(*hi);
-            }
-            Guard::StateEquals(s, b) => {
-                h.u32(6).u32(*s).u32(*b);
-            }
-            Guard::StateInRange(s, lo, hi) => {
-                h.u32(7).u32(*s).u32(*lo).u32(*hi);
-            }
         }
     }
 }
@@ -473,62 +440,15 @@ impl GuardedTemplate {
         b.guards().iter().all(|g| self.guard_holds(counts, g))
     }
 
-    /// A stable 64-bit structural fingerprint: equal for structurally
-    /// identical templates (states, names, labels, transitions, guards,
-    /// broadcasts), across processes and runs. Used as a cache key
-    /// component by the `icstar-serve` memo cache; any two templates that
-    /// differ in *any* construct — a guard bound, a broadcast response
-    /// entry — must fingerprint differently with overwhelming
-    /// probability (collisions only cost a verified bucket entry, never
-    /// a wrong structure, but they must stay rare).
+    /// A stable 64-bit fingerprint: FNV-1a over the template section of
+    /// the canonical workload encoding
+    /// ([`workload_bytes`](crate::workload_bytes)). It names spill files
+    /// and shows up in logs; lookups compare the encoding itself, so two
+    /// templates sharing a fingerprint never share a cache entry.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u32(self.num_states() as u32).u32(self.initial());
-        for q in 0..self.num_states() as u32 {
-            h.str(self.base.state_name(q));
-            let labels = self.base.labels(q);
-            h.u32(labels.len() as u32);
-            for p in labels {
-                h.str(p);
-            }
-            let succs = self.base.successors(q);
-            h.u32(succs.len() as u32);
-            for (k, &q2) in succs.iter().enumerate() {
-                h.u32(q2);
-                let guards = self.guards(q, k);
-                h.u32(guards.len() as u32);
-                for g in guards {
-                    g.hash_into(&mut h);
-                }
-            }
-        }
-        h.u32(self.broadcasts.len() as u32);
-        for b in &self.broadcasts {
-            h.u32(b.source).u32(b.target);
-            h.u32(b.guards.len() as u32);
-            for g in &b.guards {
-                g.hash_into(&mut h);
-            }
-            // The response map is total (length = num_states, already
-            // hashed), so the entries alone pin it.
-            for &t in &b.response {
-                h.u32(t);
-            }
-        }
-        // Fairness section, appended only when present so templates
-        // without fairness keep their pre-fairness fingerprints (the
-        // serve cache and wire transcript pins key on them).
-        if !self.fairness.is_empty() {
-            h.u32(self.fairness.len() as u32);
-            for d in &self.fairness {
-                h.str(&d.name);
-                h.u32(d.moves.len() as u32);
-                for &(s, t) in &d.moves {
-                    h.u32(s).u32(t);
-                }
-            }
-        }
-        h.finish()
+        let mut bytes = Vec::new();
+        encode_template(&mut bytes, self);
+        fnv1a(&bytes)
     }
 }
 
@@ -812,7 +732,20 @@ pub fn ring_station_template(stations: usize, cap: u32) -> GuardedTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arb::{random_guarded_template, RandomGuardedConfig};
+    use crate::labels::CountingSpec;
+    use crate::workload_bytes;
+    use crate::workloads::{barrier_template, msi_template, wakeup_template};
     use icstar_nets::fig41_template;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The template section of the canonical workload encoding.
+    fn bytes(t: &GuardedTemplate) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_template(&mut out, t);
+        out
+    }
 
     #[test]
     fn free_lifting_has_no_guards() {
@@ -987,7 +920,7 @@ mod tests {
             b.build(a)
         };
         // Same names and bounds, different guard kinds: all distinct.
-        let fps: Vec<u64> = [
+        let encodings: Vec<Vec<u8>> = [
             Guard::at_most("p", 1),
             Guard::at_least("p", 1),
             Guard::equals("p", 1),
@@ -998,16 +931,16 @@ mod tests {
             Guard::state_in_range(0, 1, 1),
         ]
         .into_iter()
-        .map(|g| build(g).fingerprint())
+        .map(|g| bytes(&build(g)))
         .collect();
-        for (i, a) in fps.iter().enumerate() {
-            for (j, b) in fps.iter().enumerate() {
+        for (i, a) in encodings.iter().enumerate() {
+            for (j, b) in encodings.iter().enumerate() {
                 assert_eq!(a == b, i == j, "guard kinds {i} vs {j}");
             }
         }
 
         // Templates differing only in a broadcast (presence, guard, or
-        // response map) fingerprint differently.
+        // response map) encode differently.
         let with_bcast = |guards: Vec<Guard>, responses: Vec<(u32, u32)>| {
             let mut b = GuardedBuilder::new();
             let a = b.state("a", ["a"]);
@@ -1028,12 +961,12 @@ mod tests {
         let identity = with_bcast(vec![], vec![]);
         let remap = with_bcast(vec![], vec![(1, 0)]);
         let guarded = with_bcast(vec![Guard::state_equals(0, 1)], vec![(1, 0)]);
-        assert_ne!(plain.fingerprint(), identity.fingerprint());
-        assert_ne!(identity.fingerprint(), remap.fingerprint());
-        assert_ne!(remap.fingerprint(), guarded.fingerprint());
+        assert_ne!(bytes(&plain), bytes(&identity));
+        assert_ne!(bytes(&identity), bytes(&remap));
+        assert_ne!(bytes(&remap), bytes(&guarded));
         assert_eq!(
-            with_bcast(vec![], vec![(1, 0)]).fingerprint(),
-            remap.fingerprint(),
+            bytes(&with_bcast(vec![], vec![(1, 0)])),
+            bytes(&remap),
             "deterministic"
         );
     }
@@ -1054,17 +987,17 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_structure() {
-        let base = mutex_template().fingerprint();
-        assert_eq!(base, mutex_template().fingerprint(), "deterministic");
-        assert_ne!(base, ring_station_template(3, 1).fingerprint());
+        let base = bytes(&mutex_template());
+        assert_eq!(base, bytes(&mutex_template()), "deterministic");
+        assert_ne!(base, bytes(&ring_station_template(3, 1)));
         assert_ne!(
-            ring_station_template(3, 1).fingerprint(),
-            ring_station_template(3, 2).fingerprint(),
-            "guard bounds are part of the fingerprint"
+            bytes(&ring_station_template(3, 1)),
+            bytes(&ring_station_template(3, 2)),
+            "guard bounds are part of the encoding"
         );
         assert_ne!(
-            ring_station_template(3, 1).fingerprint(),
-            ring_station_template(4, 1).fingerprint()
+            bytes(&ring_station_template(3, 1)),
+            bytes(&ring_station_template(4, 1))
         );
         // An unguarded copy of the mutex cycle differs from the guarded one.
         let mut b = GuardedBuilder::new();
@@ -1074,7 +1007,7 @@ mod tests {
         b.edge(idle, trying);
         b.edge(trying, crit);
         b.edge(crit, idle);
-        assert_ne!(b.build(idle).fingerprint(), base);
+        assert_ne!(bytes(&b.build(idle)), base);
     }
 
     #[test]
@@ -1181,9 +1114,9 @@ mod tests {
         };
         let plain = make(false);
         let fair = make(true);
-        assert_ne!(plain.fingerprint(), fair.fingerprint());
-        assert_eq!(fair.fingerprint(), make(true).fingerprint());
-        // A different declaration name or move set changes the key too.
+        assert_ne!(bytes(&plain), bytes(&fair));
+        assert_eq!(bytes(&fair), bytes(&make(true)));
+        // A different declaration name changes the encoding too.
         let mut b = GuardedBuilder::new();
         let idle = b.state("idle", ["idle"]);
         let done = b.state("done", ["done"]);
@@ -1191,7 +1124,112 @@ mod tests {
         b.edge(idle, done);
         b.edge(done, done);
         b.fair("other", [(idle, done)]);
-        assert_ne!(b.build(idle).fingerprint(), fair.fingerprint());
+        assert_ne!(bytes(&b.build(idle)), bytes(&fair));
+    }
+
+    /// Every one-field change the encoding must see: one guard bound,
+    /// one broadcast response entry, one fairness move. Mutants need not
+    /// be buildable; only their encoding is compared.
+    fn one_field_mutants(t: &GuardedTemplate) -> Vec<GuardedTemplate> {
+        let bump = |g: &Guard| match g.clone() {
+            Guard::AtMost(p, k) => Guard::AtMost(p, k + 1),
+            Guard::AtLeast(p, k) => Guard::AtLeast(p, k + 1),
+            Guard::Equals(p, k) => Guard::Equals(p, k + 1),
+            Guard::InRange(p, lo, hi) => Guard::InRange(p, lo, hi + 1),
+            Guard::StateAtMost(q, k) => Guard::StateAtMost(q, k + 1),
+            Guard::StateAtLeast(q, k) => Guard::StateAtLeast(q, k + 1),
+            Guard::StateEquals(q, k) => Guard::StateEquals(q, k + 1),
+            Guard::StateInRange(q, lo, hi) => Guard::StateInRange(q, lo, hi + 1),
+        };
+        let mut mutants = Vec::new();
+        for (q, edges) in t.guards.iter().enumerate() {
+            for (k, guards) in edges.iter().enumerate() {
+                for (i, g) in guards.iter().enumerate() {
+                    let mut m = t.clone();
+                    m.guards[q][k][i] = bump(g);
+                    mutants.push(m);
+                }
+            }
+        }
+        for (i, b) in t.broadcasts.iter().enumerate() {
+            for (j, g) in b.guards.iter().enumerate() {
+                let mut m = t.clone();
+                m.broadcasts[i].guards[j] = bump(g);
+                mutants.push(m);
+            }
+            for q in 0..b.response.len() {
+                let mut m = t.clone();
+                let r = &mut m.broadcasts[i].response[q];
+                *r = (*r + 1) % t.num_states() as u32;
+                if t.num_states() > 1 {
+                    mutants.push(m);
+                }
+            }
+        }
+        for (i, d) in t.fairness.iter().enumerate() {
+            for j in 0..d.moves.len() {
+                let mut m = t.clone();
+                m.fairness[i].moves[j].1 += 1;
+                mutants.push(m);
+            }
+        }
+        mutants
+    }
+
+    #[test]
+    fn encoding_is_equal_exactly_when_workloads_are() {
+        // Random templates over every guard kind, broadcasts and
+        // fairness (seeds repeat, so equal pairs occur too), plus the
+        // gallery and its fair variants.
+        let config = RandomGuardedConfig {
+            max_fairness: 2,
+            ..RandomGuardedConfig::default()
+        };
+        let mut templates: Vec<GuardedTemplate> = (0..48u64)
+            .map(|i| random_guarded_template(&mut StdRng::seed_from_u64(i % 32), &config))
+            .collect();
+        templates.extend([
+            mutex_template(),
+            mutex_template().with_fairness("release", [(2, 0)]),
+            ring_station_template(3, 1),
+            ring_station_template(3, 2),
+            ring_station_template(24, 3),
+            barrier_template(),
+            msi_template(),
+            wakeup_template(),
+        ]);
+        let encodings: Vec<Vec<u8>> = templates.iter().map(bytes).collect();
+        let mut mutated = 0;
+        for (a, ea) in templates.iter().zip(&encodings) {
+            for (b, eb) in templates.iter().zip(&encodings) {
+                assert_eq!(ea == eb, a == b, "{a:?} vs {b:?}");
+            }
+            for m in one_field_mutants(a) {
+                assert_ne!(m, *a);
+                assert_ne!(bytes(&m), *ea, "one-field change to {a:?}");
+                mutated += 1;
+            }
+        }
+        assert!(mutated > 100, "only {mutated} mutants exercised");
+
+        // Specs: equal exactly when `==`, and one threshold moves the
+        // bytes of the whole workload.
+        let t = mutex_template();
+        let specs = [
+            CountingSpec::new(),
+            CountingSpec::standard(&t),
+            CountingSpec::standard(&t),
+            CountingSpec::exhaustive(&t, 3),
+            CountingSpec::new().with_at_least("crit", 2),
+            CountingSpec::new().with_at_least("crit", 3),
+            CountingSpec::new().with_zero("crit"),
+            CountingSpec::new().with_exactly_one("crit"),
+        ];
+        for a in &specs {
+            for b in &specs {
+                assert_eq!(workload_bytes(&t, a) == workload_bytes(&t, b), a == b);
+            }
+        }
     }
 
     #[test]
